@@ -1,9 +1,11 @@
-"""Exact index arithmetic shared by the calibrators.
+"""Exact level arithmetic shared by the calibrators.
 
 Rank formulas like ceil((1 - alpha) * (n + 1)) are defined for real alpha
-but evaluated at floats, and the float image of a rational alpha can sit a
-few ulp off an integer.  Everything here goes through Fraction with a snap
-window so that e.g. alpha = 0.1, n = 9 lands on rank 9 rather than 10.
+but evaluated at floats, and the float image of a decimal alpha can sit a
+few ulp off the grid point j/(n + 1) the caller had in mind.  Everything
+here goes through Fraction, and ``on_grid`` moves a float level onto the
+grid j/m it rounds from, so that e.g. alpha = 0.1, n = 9 lands on rank 9
+rather than 10.
 """
 
 from __future__ import annotations
@@ -11,39 +13,42 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
-# Half-width of the window around integers inside which a float-borne
-# rational is treated as that integer.  Far larger than accumulated float
-# error, far smaller than the 1/(n+1) grid spacing for any tractable n.
-SNAP_TOL = Fraction(1, 10**9)
+# A float level within this many units in the last place of a grid point
+# j/m is taken to mean that grid point.  Rounding a decimal to a float
+# moves it by at most half an ulp, and one ulp of x is at most |x| 2^-52,
+# so the window on x m is SNAP_ULPS |x m| 2^-52: wide enough for a few
+# rounding steps, and below half the grid spacing while |x m| < 2^49.
+SNAP_ULPS = 4
 
 
 def as_fraction(x) -> Fraction:
     """Convert a level or threshold to an exact rational.
 
     Rational inputs pass through unchanged; floats convert via their exact
-    binary value, which the snap window later reconciles with the decimal
-    the caller had in mind.
+    binary value.
     """
     if isinstance(x, Rational):
         return Fraction(x)
     return Fraction(float(x))
 
 
-def snap(x: Fraction) -> Fraction:
-    """Replace x by the nearest integer when within SNAP_TOL of it."""
-    nearest = round(x)
-    if abs(x - nearest) <= SNAP_TOL:
-        return Fraction(nearest)
-    return x
+def on_grid(x, m: int) -> Fraction:
+    """The level x as an exact rational, moved onto the grid j/m if float-borne.
 
+    Rational inputs are returned exactly.  A float within SNAP_ULPS ulp of
+    some j/m is returned as j/m; any other float keeps its binary value.
 
-def snap_ceil(x) -> int:
-    """ceil(x) after snapping float noise off integer values."""
-    y = snap(as_fraction(x))
-    return -((-y.numerator) // y.denominator)
-
-
-def snap_floor(x) -> int:
-    """floor(x) after snapping float noise off integer values."""
-    y = snap(as_fraction(x))
-    return y.numerator // y.denominator
+    Examples
+    --------
+    >>> on_grid(0.3, 10**9)
+    Fraction(3, 10)
+    >>> on_grid(Fraction(1, 3), 10)
+    Fraction(1, 3)
+    """
+    if isinstance(x, Rational):
+        return Fraction(x)
+    scaled = Fraction(float(x)) * m
+    nearest = round(scaled)
+    if abs(scaled - nearest) <= abs(scaled) * SNAP_ULPS / 2**52:
+        return Fraction(nearest, m)
+    return scaled / m

@@ -17,13 +17,15 @@ ulp off a grid point would silently shift the selected rank.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._rational import as_fraction, snap_ceil, snap_floor
+from ._rational import as_fraction, on_grid
 from .dists import (
     BetaParams,
     _check_prob,
@@ -42,7 +44,9 @@ __all__ = [
     "DualAlpha",
     "DualTolerance",
     "AlphaFromTolerance",
+    "CalibrationPlan",
     "CalibrationResult",
+    "plan",
     "q_hat",
     "p_hat",
     "calibrate",
@@ -176,13 +180,11 @@ class AlphaFromTolerance:
 
 
 @dataclass(frozen=True)
-class CalibrationResult:
-    """Outcome of a split conformal calibration.
+class CalibrationPlan:
+    """What calibrating n scores at a target fixes before seeing the scores.
 
     Parameters
     ----------
-    lambda_hat : float
-        Selected threshold, +inf when only the full set qualifies.
     order_index : int
         Rank of the selected score, in {1, ..., n + 1}.
     law : BetaParams or None
@@ -190,14 +192,14 @@ class CalibrationResult:
         almost-surely distinct scores, a stochastic lower bound otherwise;
         None in the degenerate full-set case.
     dual : DualAlpha or DualTolerance
-        The other guarantee's implied parameters.
+        The other guarantee's implied parameters (a marginal plan has no
+        reference levels, so both DualTolerance entries are None).
     marginal_bounds : MarginalBounds
         Two-sided coverage bounds at the (implied) marginal level.
     full_set : bool
-        Whether order_index = n + 1, i.e. lambda_hat = +inf.
+        Whether order_index = n + 1, i.e. the threshold is +inf.
     """
 
-    lambda_hat: float
     order_index: int
     law: BetaParams | None
     dual: DualAlpha | DualTolerance
@@ -205,9 +207,74 @@ class CalibrationResult:
     full_set: bool
 
 
-def _floor_rank(n: int, alpha) -> int:
-    """floor(alpha (n + 1) - 1), the binomial argument of the duality."""
-    return snap_floor(as_fraction(alpha) * (n + 1) - 1)
+@dataclass(frozen=True)
+class CalibrationResult(CalibrationPlan):
+    """Outcome of a split conformal calibration: its plan and the threshold.
+
+    ``lambda_hat`` is the selected score, +inf when only the full set
+    qualifies.
+    """
+
+    lambda_hat: float
+
+
+# Distinct (n, target) pairs kept; a harness run needs a handful.
+_PLAN_CACHE_SIZE = 256
+
+
+def plan(n, target) -> CalibrationPlan:
+    """The order statistic, coverage law, dual and bounds of (n, target).
+
+    This is the one place that decides which order statistic a target
+    selects: rank ceil((1 - alpha) (n + 1)) for Marginal(alpha), rank
+    n - k* with k* = sup{k : Bin(k; n, eps) <= delta} for
+    Tolerance(eps, delta), and n + 1 (the full label space) when that
+    rank exceeds n or the sup is over an empty set.  None of it depends
+    on the scores, so results are memoized per (n, target).
+
+    Examples
+    --------
+    >>> plan(1000, Tolerance(0.1, 0.1)).order_index
+    913
+    >>> plan(9, Marginal(0.05)).full_set
+    True
+    """
+    # Marginal(0.1) == Marginal(Fraction(0.1)), but only the float moves
+    # onto the level grid, so the level's type is part of the cache key.
+    return _plan(_check_trials("n", n), target, type(getattr(target, "alpha", None)))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(n: int, target, _level_type) -> CalibrationPlan:
+    if isinstance(target, Marginal):
+        # the threshold is the j-th largest score, +inf when j = 0
+        j = math.floor(on_grid(target.alpha, n + 1) * (n + 1))
+        dual = DualTolerance(delta_min=None, eps_min=None)
+        bounds = marginal_bounds(n, target.alpha)
+    elif isinstance(target, Tolerance):
+        sup = binom_sup_k(n, target.eps, target.delta)
+        j = 0 if sup.infeasible else sup.value + 1
+        # an infeasible pair reports the limiting level 1/(n + 1)
+        dual = DualAlpha(
+            alpha=Fraction(max(j, 1), n + 1),
+            interval=(Fraction(j, n + 1), Fraction(j + 1, n + 1)),
+        )
+        bounds = marginal_bounds(n, dual.alpha)
+    else:
+        raise TypeError(f"unknown guarantee {target!r}")
+    idx = n + 1 - j
+    return CalibrationPlan(
+        order_index=idx,
+        law=None if j == 0 else BetaParams(idx, j),
+        dual=dual,
+        marginal_bounds=bounds,
+        full_set=j == 0,
+    )
+
+
+def _floor_rank(n, alpha) -> int:
+    """floor(alpha (n + 1) - 1), the duality's binomial argument; checks n, alpha."""
+    return n - plan(n, Marginal(alpha)).order_index
 
 
 def tolerance_delta_given_alpha(n, alpha, eps: float) -> float:
@@ -221,10 +288,9 @@ def tolerance_delta_given_alpha(n, alpha, eps: float) -> float:
     >>> tolerance_delta_given_alpha(100, 0.005, 0.1)
     0.0
     """
-    n = _check_trials("n", n)
-    _check_prob("alpha", float(alpha), open_interval=True)
+    k = _floor_rank(n, alpha)
     eps = _check_prob("eps", eps, open_interval=True)
-    return binom_cdf(_floor_rank(n, alpha), n, eps)
+    return binom_cdf(k, n, eps)
 
 
 def tolerance_eps_given_alpha(n, alpha, delta: float) -> float:
@@ -238,10 +304,9 @@ def tolerance_eps_given_alpha(n, alpha, delta: float) -> float:
     >>> round(tolerance_eps_given_alpha(100, 0.1, 0.1), 6)
     0.138352
     """
-    n = _check_trials("n", n)
-    _check_prob("alpha", float(alpha), open_interval=True)
+    k = _floor_rank(n, alpha)
     delta = _check_prob("delta", delta, open_interval=True)
-    return binom_inf_p(_floor_rank(n, alpha), n, delta)
+    return binom_inf_p(k, n, delta)
 
 
 def alpha_given_tolerance(n, eps: float, delta: float) -> AlphaFromTolerance:
@@ -257,11 +322,8 @@ def alpha_given_tolerance(n, eps: float, delta: float) -> AlphaFromTolerance:
     >>> alpha_given_tolerance(1000, 0.1, 0.1).alpha  # 88/1001 reduced
     Fraction(8, 91)
     """
-    n = _check_trials("n", n)
-    sup = binom_sup_k(n, eps, delta)
-    if sup.infeasible:
-        return AlphaFromTolerance(Fraction(1, n + 1), True)
-    return AlphaFromTolerance(Fraction(sup.value + 1, n + 1), False)
+    p = plan(n, Tolerance(eps, delta))
+    return AlphaFromTolerance(p.dual.alpha, p.full_set)
 
 
 def marginal_bounds(n, alpha) -> MarginalBounds:
@@ -279,12 +341,16 @@ def marginal_bounds(n, alpha) -> MarginalBounds:
     a = as_fraction(alpha)
     if not 0 < a < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    mean = 1 - Fraction(snap_floor(a * (n + 1)), n + 1)
+    mean = 1 - Fraction(math.floor(on_grid(alpha, n + 1) * (n + 1)), n + 1)
     return MarginalBounds(
         lo=float(1 - a),
         hi=min(1.0, float(1 - a + Fraction(1, n + 1))),
         exact_mean=mean,
     )
+
+
+def _calibrated(scores: NonconformityScores, p: CalibrationPlan) -> CalibrationResult:
+    return CalibrationResult(lambda_hat=scores.order_stat(p.order_index), **vars(p))
 
 
 def q_hat(
@@ -319,23 +385,12 @@ def q_hat(
     inf
     """
     n = scores.n
-    a = as_fraction(alpha)
-    if not 0 < a < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    idx = snap_ceil((1 - a) * (n + 1))
-    full = idx > n
+    p = plan(n, Marginal(alpha))
     dual = DualTolerance(
-        delta_min=None if eps is None else tolerance_delta_given_alpha(n, a, eps),
-        eps_min=None if delta is None else tolerance_eps_given_alpha(n, a, delta),
+        delta_min=None if eps is None else tolerance_delta_given_alpha(n, alpha, eps),
+        eps_min=None if delta is None else tolerance_eps_given_alpha(n, alpha, delta),
     )
-    return CalibrationResult(
-        lambda_hat=scores.order_stat(idx),
-        order_index=idx,
-        law=None if full else BetaParams(idx, n + 1 - idx),
-        dual=dual,
-        marginal_bounds=marginal_bounds(n, a),
-        full_set=full,
-    )
+    return dataclasses.replace(_calibrated(scores, p), dual=dual)
 
 
 def p_hat(scores: NonconformityScores, eps: float, delta: float) -> CalibrationResult:
@@ -355,43 +410,12 @@ def p_hat(scores: NonconformityScores, eps: float, delta: float) -> CalibrationR
     >>> r.dual.alpha  # 88/1001 reduced
     Fraction(8, 91)
     """
-    n = scores.n
-    sup = binom_sup_k(n, eps, delta)
-    if sup.infeasible:
-        dual = DualAlpha(
-            alpha=Fraction(1, n + 1),
-            interval=(Fraction(0), Fraction(1, n + 1)),
-        )
-        return CalibrationResult(
-            lambda_hat=math.inf,
-            order_index=n + 1,
-            law=None,
-            dual=dual,
-            marginal_bounds=marginal_bounds(n, dual.alpha),
-            full_set=True,
-        )
-    k = sup.value
-    dual = DualAlpha(
-        alpha=Fraction(k + 1, n + 1),
-        interval=(Fraction(k + 1, n + 1), Fraction(k + 2, n + 1)),
-    )
-    return CalibrationResult(
-        lambda_hat=scores.order_stat(n - k),
-        order_index=n - k,
-        law=BetaParams(n - k, k + 1),
-        dual=dual,
-        marginal_bounds=marginal_bounds(n, dual.alpha),
-        full_set=False,
-    )
+    return _calibrated(scores, plan(scores.n, Tolerance(eps, delta)))
 
 
 def calibrate(scores: NonconformityScores, target) -> CalibrationResult:
-    """Dispatch on the guarantee type: Marginal -> q_hat, Tolerance -> p_hat."""
-    if isinstance(target, Marginal):
-        return q_hat(scores, target.alpha)
-    if isinstance(target, Tolerance):
-        return p_hat(scores, target.eps, target.delta)
-    raise TypeError(f"unknown guarantee {target!r}")
+    """Calibrate at a Marginal or Tolerance target, as q_hat or p_hat would."""
+    return _calibrated(scores, plan(scores.n, target))
 
 
 def wilks_interval_law(n, r: int, s: int) -> BetaParams:

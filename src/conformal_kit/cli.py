@@ -12,7 +12,8 @@ for fixed flags and seed.  Infinities are serialized as the strings
 {"fraction": "88/1001", "value": 0.0879...} pairs.  Exit codes: 0 on
 success, 2 on a domain error (invalid level, empty scores, degenerate
 configuration), 1 on an I/O or parse failure; ``verify`` exits 1 when a
-suite fails.
+suite fails.  A closed stdout (say, piping into ``head``) ends the run
+quietly with exit code 0.
 
 The seed comes from --seed, else the CONFORMAL_KIT_SEED environment
 variable, else a fixed default.
@@ -30,21 +31,16 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rational import as_fraction, snap_floor
 from .calibration import (
     DualAlpha,
     DualTolerance,
     Marginal,
     NonconformityScores,
     Tolerance,
-    alpha_given_tolerance,
-    marginal_bounds,
     p_hat,
     q_hat,
-    tolerance_delta_given_alpha,
-    tolerance_eps_given_alpha,
 )
-from .dists import BetaParams, binom_sup_k
+from .dists import BetaParams
 from .experiments import (
     DEFAULT_SEED,
     Dataset,
@@ -138,47 +134,6 @@ def _read_scores(path) -> np.ndarray:
     return np.asarray(values)
 
 
-def _marginal_annotation(n: int, alpha, eps, delta) -> dict:
-    idx = n + 1 - snap_floor(as_fraction(alpha) * (n + 1))
-    full = idx > n
-    law = None if full else BetaParams(idx, n + 1 - idx)
-    dual = {
-        "delta_min": None
-        if eps is None
-        else tolerance_delta_given_alpha(n, alpha, eps),
-        "eps_min": None
-        if delta is None
-        else tolerance_eps_given_alpha(n, alpha, delta),
-    }
-    return {
-        "order_index": idx,
-        "full_set": full,
-        "law": _law_json(law),
-        "dual": dual,
-        "marginal_bounds": _bounds_json(marginal_bounds(n, alpha)),
-    }
-
-
-def _tolerance_annotation(n: int, eps: float, delta: float) -> dict:
-    sup = binom_sup_k(n, eps, delta)
-    dual = alpha_given_tolerance(n, eps, delta)
-    if sup.infeasible:
-        idx = n + 1
-        law = None
-        interval = [Fraction(0), Fraction(1, n + 1)]
-    else:
-        idx = n - sup.value
-        law = BetaParams(idx, n + 1 - idx)
-        interval = [dual.alpha, Fraction(sup.value + 2, n + 1)]
-    return {
-        "order_index": idx,
-        "full_set": idx > n,
-        "law": _law_json(law),
-        "dual": {"alpha": _frac(dual.alpha), "interval": [_frac(f) for f in interval]},
-        "marginal_bounds": _bounds_json(marginal_bounds(n, dual.alpha)),
-    }
-
-
 def _check_levels(args) -> None:
     for name in ("alpha", "eps", "delta"):
         value = getattr(args, name, None)
@@ -194,25 +149,23 @@ def cmd_calibrate(args) -> int:
     if (args.eps is None) != (args.delta is None):
         raise ValueError("--eps and --delta must be given together")
 
+    # The rank rule's order index, law, dual and bounds annotate every
+    # route; the risk routes compute their own lambda_hat.
     method = args.method
     if method in ("split", "crc"):
         if args.alpha is not None:
             guarantee = {"kind": "marginal", "alpha": args.alpha}
-            meta = _marginal_annotation(n, args.alpha, args.eps, args.delta)
-            if method == "split":
-                res = q_hat(scores, args.alpha, eps=args.eps, delta=args.delta)
-                lam, idx = res.lambda_hat, res.order_index
-            else:
+            res = q_hat(scores, args.alpha, eps=args.eps, delta=args.delta)
+            lam = res.lambda_hat
+            if method == "crc":
                 curves = [LossCurve.zero_one(v) for v in scores.values]
                 lam = crc_lambda(curves, 1.0, args.alpha, _EVERYWHERE)
-                idx = n - snap_floor(as_fraction(args.alpha) * (n + 1) - 1)
         elif have_tol:
             if method == "crc":
                 raise ValueError("--method crc requires --alpha (0-1 loss risk)")
             guarantee = {"kind": "tolerance", "eps": args.eps, "delta": args.delta}
-            meta = _tolerance_annotation(n, args.eps, args.delta)
             res = p_hat(scores, args.eps, args.delta)
-            lam, idx = res.lambda_hat, res.order_index
+            lam = res.lambda_hat
         else:
             raise ValueError("need --alpha, or --eps with --delta")
     elif method in ("ucb", "ltt"):
@@ -221,7 +174,7 @@ def cmd_calibrate(args) -> int:
         if args.alpha is not None:
             raise ValueError(f"--method {method} takes no --alpha")
         guarantee = {"kind": "tolerance", "eps": args.eps, "delta": args.delta}
-        meta = _tolerance_annotation(n, args.eps, args.delta)
+        res = p_hat(scores, args.eps, args.delta)
         curves = [LossCurve.zero_one(v) for v in scores.values]
         if method == "ucb":
             lam = ucb_lambda(curves, args.eps, args.delta)
@@ -231,11 +184,6 @@ def cmd_calibrate(args) -> int:
                 ltt_pvalues(grid, curves, args.eps), args.delta
             )
             lam = float(min(kept)) if kept else math.inf
-        idx = (
-            n + 1
-            if math.isinf(lam)
-            else int(np.searchsorted(scores.values, lam, side="right"))
-        )
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {method!r}")
 
@@ -244,8 +192,11 @@ def cmd_calibrate(args) -> int:
         "n": n,
         "guarantee": guarantee,
         "lambda_hat": _num(lam),
-        "order_index": idx,
-        **meta,
+        "order_index": res.order_index,
+        "full_set": res.full_set,
+        "law": _law_json(res.law),
+        "dual": _dual_json(res.dual),
+        "marginal_bounds": _bounds_json(res.marginal_bounds),
     }
     print(_dumps(payload))
     return 0
@@ -465,7 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone; point stdout at devnull so that the
+        # flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

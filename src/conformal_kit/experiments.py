@@ -23,27 +23,28 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import betainc
 
-from ._rational import as_fraction, snap_ceil, snap_floor
+from ._rational import on_grid
 from .calibration import (
     Marginal,
     NonconformityScores,
-    Tolerance,
     calibrate,
+    plan,
+    tolerance_eps_given_alpha,
 )
 from .dists import (
     BetaBinParams,
     BetaParams,
-    beta_reg,
     betabin_pmf,
     betabin_quantile,
-    binom_inf_p,
     binom_sup_k,
 )
 
@@ -306,17 +307,12 @@ def reference_law(n: int, target) -> BetaParams:
     Beta(i, n + 1 - i) with i the selected order index; raises in the
     degenerate full-set case, which has no nondegenerate law.
     """
-    if isinstance(target, Marginal):
-        idx = snap_ceil((1 - as_fraction(target.alpha)) * (n + 1))
-        if idx > n:
+    law = plan(n, target).law
+    if law is None:
+        if isinstance(target, Marginal):
             raise ValueError("alpha below 1/(n+1): full-set calibration")
-        return BetaParams(idx, n + 1 - idx)
-    if isinstance(target, Tolerance):
-        sup = binom_sup_k(n, target.eps, target.delta)
-        if sup.infeasible:
-            raise ValueError("infeasible tolerance pair: full-set calibration")
-        return BetaParams(n - sup.value, sup.value + 1)
-    raise TypeError(f"unknown guarantee {target!r}")
+        raise ValueError("infeasible tolerance pair: full-set calibration")
+    return law
 
 
 def _trial_rows(lo, hi, labels, n, n_test, target, master_seed, indices):
@@ -334,6 +330,13 @@ def _trial_rows(lo, hi, labels, n, n_test, target, master_seed, indices):
         lengths = np.maximum(0.0, (hi[test] - lo[test]) + 2.0 * lam)
         rows.append((int(j), float(lam), coverage, float(np.mean(lengths))))
     return rows
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_trials(
@@ -368,7 +371,8 @@ def run_trials(
     master_seed : int
         Root of every trial's random stream.
     workers : int, optional
-        Process count for parallel trials; output is identical for any
+        Process count for parallel trials, capped at the trial count and
+        at the CPUs this process may run on; output is identical for any
         value.
 
     Examples
@@ -391,12 +395,13 @@ def run_trials(
     hi = np.asarray(hi, dtype=float)
     args = (lo, hi, pool.labels, n, n_test, target)
 
-    if workers is None or workers <= 1:
+    workers = min(workers or 1, R, _usable_cpus())
+    if workers <= 1:
         rows = _trial_rows(*args, master_seed, range(R))
     else:
-        chunks = [c for c in np.array_split(np.arange(R), workers) if c.size]
+        chunks = np.array_split(np.arange(R), workers)
         rows = []
-        with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [
                 ex.submit(_trial_rows, *args, master_seed, chunk)
                 for chunk in chunks
@@ -444,7 +449,7 @@ def summarize(
     c_bar = float(math.fsum(coverages) / R)
     mean_length = float(math.fsum(r.avg_length for r in reports) / R)
 
-    hat_cut = snap_floor((1 - as_fraction(eps)) * n_test)
+    hat_cut = n_test - math.ceil(on_grid(eps, n_test) * n_test)
     delta_hat = float(np.mean(counts <= hat_cut))
 
     params = BetaBinParams(n_test, law.a, law.b)
@@ -458,7 +463,7 @@ def summarize(
     dominance = float(np.max(ecdf - ref_cdf))
 
     atoms = np.arange(n_test + 1) / n_test
-    beta_cdf = np.array([beta_reg(float(a), law) for a in atoms])
+    beta_cdf = betainc(law.a, law.b, atoms)
     bins = max(1, math.ceil(math.sqrt(R)))
     counts_hist, edges = np.histogram(coverages, bins=bins)
 
@@ -527,8 +532,7 @@ def tolerance_tables(n_values=_TABLE_N, levels=_TABLE_LEVELS) -> tuple[str, str]
         return str(0 if sup.infeasible else sup.value)
 
     def eps_cell(n: int, alpha: float, delta: float) -> str:
-        k = snap_floor(as_fraction(alpha) * (n + 1) - 1)
-        return _pct_floor4(binom_inf_p(k, n, delta))
+        return _pct_floor4(tolerance_eps_given_alpha(n, alpha, delta))
 
     counts = render(
         "largest calibration exceedance count k with Bin(k; n, eps) <= delta"

@@ -16,13 +16,14 @@ by cross-validated post-calibration length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._rational import as_fraction, snap_ceil
+from ._rational import on_grid
 from .calibration import Marginal, NonconformityScores, calibrate
 
 __all__ = [
@@ -119,7 +120,7 @@ class TuneReport:
 
 def _order_index(level: float, k: int) -> int:
     """0-based index of the ceil(level * k)-th order statistic."""
-    return max(1, snap_ceil(as_fraction(level) * k)) - 1
+    return max(1, math.ceil(on_grid(level, k) * k)) - 1
 
 
 def fit_knn_quantile(train, config: KnnQuantileConfig) -> IntervalPredictor:

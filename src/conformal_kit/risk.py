@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rational import as_fraction
+from ._rational import as_fraction, on_grid
 from .dists import _check_prob, binom_cdf, binom_inf_p
 from .nested import LambdaDomain
 
@@ -141,7 +141,8 @@ def crc_lambda(curves, B: float, alpha, domain: LambdaDomain) -> float:
 
     The condition is monotone for non-increasing curves, so the infimum is
     located by binary search over the exact breakpoint candidates; the
-    comparison n R_hat + B <= alpha (n + 1) runs in rational arithmetic so
+    comparison n R_hat + B <= alpha (n + 1) runs in rational arithmetic,
+    with a float alpha moved onto the grid j/(n + 1) it rounds from, so
     grid-boundary levels never misclassify.  Returns the top of the domain
     when only the minimal achievable risk qualifies there, which for 0-1
     loss is the full-set sentinel.
@@ -169,7 +170,7 @@ def crc_lambda(curves, B: float, alpha, domain: LambdaDomain) -> float:
             raise ValueError(f"curve bound {c.bound} exceeds B={B}")
 
     # sum of losses <= alpha (n + 1) - B, exactly
-    threshold = a * (n + 1) - as_fraction(B)
+    threshold = on_grid(alpha, n + 1) * (n + 1) - as_fraction(B)
 
     def ok(lam: float) -> bool:
         return Fraction(_loss_sum(curves, lam)) <= threshold

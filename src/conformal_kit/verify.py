@@ -21,7 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._rational import snap_ceil
 from .calibration import (
     NonconformityScores,
     Tolerance,
@@ -99,7 +98,7 @@ def duality_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
             lo = dual.alpha
             hi = Fraction(k_star + 2, n + 1)
             same = all(
-                snap_ceil((1 - a) * (n + 1)) == idx_tol
+                math.ceil((1 - a) * (n + 1)) == idx_tol
                 for a in (lo, (lo + hi) / 2)
             )
             if not same:

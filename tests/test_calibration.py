@@ -17,6 +17,7 @@ from conformal_kit.calibration import (
     calibrate,
     marginal_bounds,
     p_hat,
+    plan,
     q_hat,
     tolerance_delta_given_alpha,
     tolerance_eps_given_alpha,
@@ -237,6 +238,43 @@ def test_marginal_bounds_exact():
         bb = marginal_bounds(n, alpha)
         assert bb.lo <= float(bb.exact_mean) <= bb.hi + 1e-15
         assert bb.hi <= 1.0
+
+
+@pytest.mark.parametrize("m", [10**8, 10**9])
+def test_decimal_levels_land_on_grid_at_large_n(m):
+    # m = n + 1 and every level i/100 is a grid point j/m
+    n = m - 1
+    for i in range(1, 100):
+        alpha = float(f"0.{i:02d}")
+        j = i * m // 100
+        assert marginal_bounds(n, alpha).exact_mean == 1 - Fraction(i, 100)
+        p = plan(n, Marginal(alpha))
+        assert p.order_index == m - j
+        assert p.law.a == m - j and p.law.b == j
+
+
+def test_fraction_levels_stay_exact():
+    # the binary value of 0.3 lies below 3/10: taken exactly, 2 of 10 exceed
+    exact = Fraction(0.3)
+    assert plan(9, Marginal(exact)).order_index == 8
+    assert plan(9, Marginal(0.3)).order_index == 7
+    assert marginal_bounds(9, exact).exact_mean == Fraction(8, 10)
+    assert marginal_bounds(9, 0.3).exact_mean == Fraction(7, 10)
+
+
+def test_plan_matches_calibrators():
+    scores = NonconformityScores(np.arange(1.0, 1001.0))
+    for target, res in (
+        (Marginal(0.1), q_hat(scores, 0.1)),
+        (Tolerance(0.1, 0.1), p_hat(scores, 0.1, 0.1)),
+        (Tolerance(0.001, 0.1), p_hat(scores, 0.001, 0.1)),
+    ):
+        p = plan(scores.n, target)
+        assert (p.order_index, p.law, p.dual, p.marginal_bounds, p.full_set) == (
+            res.order_index, res.law, res.dual, res.marginal_bounds, res.full_set
+        )
+    with pytest.raises(TypeError):
+        plan(10, "not a guarantee")
 
 
 def test_exhaustive_coverage_sandwich_small_n():

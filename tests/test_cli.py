@@ -1,6 +1,10 @@
 """End-to-end coverage of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +166,28 @@ def test_tables_custom_sizes(capsys):
     assert code == 0
     assert "n = 50" in out
     assert "n = 100000" not in out
+
+
+def test_closed_stdout_exits_quietly():
+    # ~150 kB of tables: more than a pipe holds, so the writer is still
+    # writing when the reader goes away
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-c",
+            "import sys; from conformal_kit.cli import main; sys.exit(main())",
+            "tables", "--n", *["10"] * 1500, "--levels", "0.1",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"largest")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 EXP_ARGS = (

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import conformal_kit._rational
 import conformal_kit.calibration
 import conformal_kit.dists
 import conformal_kit.experiments
@@ -12,6 +13,7 @@ import conformal_kit.predictors
 import conformal_kit.risk
 
 MODULES = (
+    conformal_kit._rational,
     conformal_kit.dists,
     conformal_kit.nested,
     conformal_kit.calibration,

@@ -1,13 +1,21 @@
 """Synthetic generator, CSV handling, trial harness, and lookup tables."""
 
 import math
+from concurrent.futures import Future
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
 
+from conformal_kit import calibration, experiments
 from conformal_kit.calibration import Marginal, Tolerance
-from conformal_kit.dists import BetaBinParams, BetaParams, beta_reg, binom_inf_p
+from conformal_kit.dists import (
+    BetaBinParams,
+    BetaParams,
+    beta_reg,
+    binom_inf_p,
+    binom_sup_k,
+)
 from conformal_kit.experiments import (
     Dataset,
     ParseError,
@@ -21,7 +29,12 @@ from conformal_kit.experiments import (
     summarize,
     tolerance_tables,
 )
-from conformal_kit.predictors import IntervalPredictor, KnnQuantileConfig, fit_knn_quantile
+from conformal_kit.predictors import (
+    IntervalPredictor,
+    KnnQuantileConfig,
+    fit_knn_quantile,
+    tune_nominal_quantiles,
+)
 
 from helpers import betabin_cdf_exact
 
@@ -172,6 +185,52 @@ def test_run_trials_deterministic_across_workers():
     assert serial == again
 
 
+def test_run_trials_caps_processes(monkeypatch):
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(
+        experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+    )
+    pool = gen_synthetic(200, seed=39)
+    kw = dict(pool=pool, n=40, n_test=60, target=Marginal(0.2), master_seed=4)
+    serial = run_trials(_flat_predictor(), R=10, **kw)
+    assert run_trials(_flat_predictor(), R=10, workers=64, **kw) == serial
+    assert run_trials(_flat_predictor(), R=2, workers=64, **kw) == serial[:2]
+    assert requested == [3, 2]
+
+
+def test_one_inversion_per_distinct_n(monkeypatch):
+    calls = []
+
+    def counting_sup_k(n, eps, delta):
+        calls.append(n)
+        return binom_sup_k(n, eps, delta)
+
+    monkeypatch.setattr(calibration, "binom_sup_k", counting_sup_k)
+    calibration._plan.cache_clear()
+    target = Tolerance(0.1, 0.1)
+    pool = gen_synthetic(400, seed=44)
+    run_trials(_flat_predictor(), pool, 100, 200, 50, target, master_seed=6)
+    tune_nominal_quantiles(gen_synthetic(200, seed=45), target=target, k=10)
+    assert sorted(calls) == [20, 100]
+
+
 def test_run_trials_prefix_stable():
     pool = gen_synthetic(200, seed=41)
     base = _flat_predictor()
@@ -222,6 +281,16 @@ def test_summarize_hand_computed():
     assert s.theoretical.beta_cdf[8] == pytest.approx(beta_reg(0.8, law), rel=1e-12)
     assert s.histogram.counts.sum() == 5
     assert len(s.histogram.edges) == math.ceil(math.sqrt(5)) + 1
+
+
+def test_summarize_beta_cdf_matches_scalar_path():
+    n_test = 5000
+    law = BetaParams(913, 88)
+    reports = [TrialReport(j, 0.0, c / n_test, 1.0, 1000, n_test)
+               for j, c in enumerate((4500, 4560, 4610))]
+    got = summarize(reports, law, eps=0.1, delta=0.1, n_test=n_test)
+    scalar = [beta_reg(k / n_test, law) for k in range(n_test + 1)]
+    assert np.array_equal(got.theoretical.beta_cdf, scalar)
 
 
 def test_summarize_validation():

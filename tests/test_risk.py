@@ -58,6 +58,19 @@ def test_crc_matches_quantile_rule():
     assert mismatches == 0
 
 
+def test_crc_matches_quantile_rule_on_level_boundaries():
+    # alpha (n + 1) is an integer for every level here, and the float of
+    # about half of them lies below the decimal
+    n = 9999
+    curves = [LossCurve.zero_one(float(s)) for s in range(1, n + 1)]
+    scores = NonconformityScores(np.arange(1.0, n + 1.0))
+    for i in range(50, 201):
+        alpha = float(f"0.{i:03d}")
+        assert crc_lambda(curves, 1.0, alpha, EVERYWHERE) == q_hat(
+            scores, alpha
+        ).lambda_hat, alpha
+
+
 def test_crc_validation():
     curves = [LossCurve.zero_one(1.0)]
     with pytest.raises(ValueError):
