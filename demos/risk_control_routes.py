@@ -14,7 +14,7 @@ import numpy as np
 
 from conformal_kit import (
     LambdaDomain,
-    LossCurve,
+    Losses,
     NonconformityScores,
     crc_lambda,
     ltt_fixed_sequence,
@@ -30,23 +30,23 @@ EVERYWHERE = LambdaDomain(-math.inf, math.inf)
 def main():
     rng = np.random.default_rng(12)
     scores = NonconformityScores(rng.normal(size=500))
-    curves = [LossCurve.zero_one(float(v)) for v in scores.values]
+    losses = Losses.zero_one(scores.values)
     alpha, eps, delta = 0.1, 0.1, 0.1
 
     print(f"marginal level alpha = {alpha}")
     print(f"  quantile rule  {q_hat(scores, alpha).lambda_hat:+.6f}")
-    print(f"  crc            {crc_lambda(curves, 1.0, alpha, EVERYWHERE):+.6f}")
+    print(f"  crc            {crc_lambda(losses, 1.0, alpha, EVERYWHERE):+.6f}")
 
     print(f"\ntolerance pair eps = {eps}, delta = {delta}")
     lam_p = p_hat(scores, eps, delta).lambda_hat
-    lam_u = ucb_lambda(curves, eps, delta, domain=EVERYWHERE)
+    lam_u = ucb_lambda(losses, eps, delta, domain=EVERYWHERE)
     print(f"  rank rule      {lam_p:+.6f}")
     print(f"  exact ucb      {lam_u:+.6f}")
-    lam_h = ucb_lambda(curves, eps, delta, method="hoeffding", domain=EVERYWHERE)
+    lam_h = ucb_lambda(losses, eps, delta, method="hoeffding", domain=EVERYWHERE)
     print(f"  hoeffding ucb  {lam_h:+.6f}  (looser bound, larger threshold)")
 
     grid = np.linspace(scores.values[0] - 0.5, scores.values[-1] + 0.5, 10_000)
-    kept = ltt_fixed_sequence(ltt_pvalues(grid, curves, eps), delta)
+    kept = ltt_fixed_sequence(ltt_pvalues(grid, losses, eps), delta)
     step = grid[1] - grid[0]
     print(f"  ltt            {kept[0]:+.6f}  (grid step {step:.6f})")
     print(f"\nucb == rank rule: {lam_u == lam_p}")

@@ -36,7 +36,9 @@ def on_grid(x, m: int) -> Fraction:
     """The level x as an exact rational, moved onto the grid j/m if float-borne.
 
     Rational inputs are returned exactly.  A float within SNAP_ULPS ulp of
-    some j/m is returned as j/m; any other float keeps its binary value.
+    some j/m is returned as j/m, except that a float below 1 never becomes
+    1: a level that close to 1 is still a level, and m/m would leave no
+    rank to select.  Any other float keeps its binary value.
 
     Examples
     --------
@@ -44,11 +46,15 @@ def on_grid(x, m: int) -> Fraction:
     Fraction(3, 10)
     >>> on_grid(Fraction(1, 3), 10)
     Fraction(1, 3)
+    >>> on_grid(1 - 2**-53, 10) < 1
+    True
     """
     if isinstance(x, Rational):
         return Fraction(x)
     scaled = Fraction(float(x)) * m
     nearest = round(scaled)
+    if nearest == m and scaled < m:
+        return scaled / m
     if abs(scaled - nearest) <= abs(scaled) * SNAP_ULPS / 2**52:
         return Fraction(nearest, m)
     return scaled / m

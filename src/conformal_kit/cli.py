@@ -55,7 +55,7 @@ from .experiments import (
 )
 from .nested import LambdaDomain
 from .predictors import KnnQuantileConfig, fit_knn_quantile, tune_nominal_quantiles
-from .risk import LossCurve, crc_lambda, ltt_fixed_sequence, ltt_pvalues, ucb_lambda
+from .risk import Losses, crc_lambda, ltt_fixed_sequence, ltt_pvalues, ucb_lambda
 from .verify import SUITE_NAMES, run_suites
 
 _EVERYWHERE = LambdaDomain(-math.inf, math.inf)
@@ -150,16 +150,16 @@ def cmd_calibrate(args) -> int:
         raise ValueError("--eps and --delta must be given together")
 
     # The rank rule's order index, law, dual and bounds annotate every
-    # route; the risk routes compute their own lambda_hat.
+    # route; the risk routes compute their own lambda_hat from the losses.
     method = args.method
+    losses = None if method == "split" else Losses.zero_one(scores.values)
     if method in ("split", "crc"):
         if args.alpha is not None:
             guarantee = {"kind": "marginal", "alpha": args.alpha}
             res = q_hat(scores, args.alpha, eps=args.eps, delta=args.delta)
             lam = res.lambda_hat
             if method == "crc":
-                curves = [LossCurve.zero_one(v) for v in scores.values]
-                lam = crc_lambda(curves, 1.0, args.alpha, _EVERYWHERE)
+                lam = crc_lambda(losses, 1.0, args.alpha, _EVERYWHERE)
         elif have_tol:
             if method == "crc":
                 raise ValueError("--method crc requires --alpha (0-1 loss risk)")
@@ -175,13 +175,11 @@ def cmd_calibrate(args) -> int:
             raise ValueError(f"--method {method} takes no --alpha")
         guarantee = {"kind": "tolerance", "eps": args.eps, "delta": args.delta}
         res = p_hat(scores, args.eps, args.delta)
-        curves = [LossCurve.zero_one(v) for v in scores.values]
         if method == "ucb":
-            lam = ucb_lambda(curves, args.eps, args.delta)
+            lam = ucb_lambda(losses, args.eps, args.delta)
         else:
-            grid = np.unique(scores.values)
             kept = ltt_fixed_sequence(
-                ltt_pvalues(grid, curves, args.eps), args.delta
+                ltt_pvalues(losses.lambdas, losses, args.eps), args.delta
             )
             lam = float(min(kept)) if kept else math.inf
     else:  # pragma: no cover - argparse restricts choices

@@ -10,8 +10,10 @@ Pearson style) bound and 0-1 loss it reproduces the tolerance calibrator
 threshold for threshold.  Learn-then-test recasts the grid search as
 multiple testing with binomial p-values under FWER control.
 
-Loss curves carry their step structure, so infima over lambda are taken
-over exact breakpoints, and the threshold conditions are compared in exact
+Every route reads the calibration losses through one ``Losses``: their sum
+over the n observations as a step function of lambda, held as its exact
+breakpoints and the sum on each step.  Infima over lambda are taken over
+those breakpoints, and the threshold conditions are compared in exact
 rational arithmetic.  The equivalence with the rank-based calibrators is a
 theorem, and these routes are kept independent enough that the test suite
 can actually check it.
@@ -19,10 +21,10 @@ can actually check it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -31,12 +33,9 @@ from .dists import _check_prob, binom_cdf, binom_inf_p
 from .nested import LambdaDomain
 
 __all__ = [
-    "LossCurve",
-    "RiskEstimate",
+    "Losses",
     "PValueGrid",
-    "empirical_risk",
     "crc_lambda",
-    "ucb_exact_binomial",
     "ucb_hoeffding",
     "ucb_lambda",
     "ltt_pvalues",
@@ -48,42 +47,73 @@ _COUNT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class LossCurve:
-    """One observation's loss as a function of the threshold.
+class Losses:
+    """Summed loss of n observations, a non-increasing step function of lambda.
 
     Parameters
     ----------
-    eval : callable
-        Map lambda -> loss, non-increasing, minimal at the top of the
-        domain.
+    lambdas : ndarray, shape (G,)
+        Strictly ascending breakpoints, where the sum may step down.
+    totals : ndarray, shape (G + 1,)
+        The sum on each step: ``totals[0]`` below ``lambdas[0]``,
+        ``totals[j]`` on [lambdas[j - 1], lambdas[j]), ``totals[G]`` from
+        ``lambdas[-1]`` up.
+    n : int
+        Number of observations.
     bound : float, optional
-        Uniform upper bound B on the loss, when known.
-    breakpoints : tuple of float
-        Where the step structure changes; calibrators take infima over
-        these exactly instead of grid-searching.  For general smooth
-        losses the caller supplies its evaluation grid here.
+        Uniform upper bound B on each observation's loss, when known.
+
+    Examples
+    --------
+    >>> losses = Losses.zero_one([3.0, 1.0, 2.0, 2.0])
+    >>> losses.lambdas, losses.totals
+    (array([1., 2., 3.]), array([4., 3., 1., 0.]))
+    >>> losses.total(2.5) / losses.n
+    0.25
     """
 
-    eval: Callable[[float], float]
+    lambdas: np.ndarray
+    totals: np.ndarray
+    n: int
     bound: float | None = None
-    breakpoints: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        lam = np.asarray(self.lambdas, dtype=float)
+        tot = np.asarray(self.totals, dtype=float)
+        if lam.ndim != 1 or tot.shape != (lam.size + 1,):
+            raise ValueError("need 1-d lambdas and one more total than lambdas")
+        if np.isnan(lam).any() or np.any(np.diff(lam) <= 0):
+            raise ValueError("lambdas must be strictly ascending")
+        if self.n < 1:
+            raise ValueError("need at least one observation")
+        object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "totals", tot)
 
     @classmethod
-    def zero_one(cls, score: float) -> "LossCurve":
-        """Miscoverage loss 1{score > lam} of a calibration score."""
-        return cls(
-            eval=lambda lam, _s=float(score): 1.0 if lam < _s else 0.0,
-            bound=1.0,
-            breakpoints=(float(score),),
-        )
+    def zero_one(cls, scores) -> "Losses":
+        """Miscoverage losses 1{score > lam} of calibration scores."""
+        s = np.sort(np.asarray(scores, dtype=float).ravel())
+        lam = np.unique(s)
+        above = s.size - np.searchsorted(s, lam, side="right")
+        return cls(lam, np.concatenate(([s.size], above)), s.size, bound=1.0)
 
+    @classmethod
+    def steps(cls, lambdas, losses, bound: float | None = None) -> "Losses":
+        """Per-observation losses on the steps of ``lambdas``, summed exactly.
 
-@dataclass(frozen=True)
-class RiskEstimate:
-    """Empirical risk R_hat = (1/n) sum of losses at a threshold."""
+        ``losses`` is an (n, G + 1) matrix whose row i holds observation
+        i's loss on each step, laid out like ``totals``.  Each column is
+        summed with math.fsum, so the totals are correctly rounded.
+        """
+        mat = np.asarray(losses, dtype=float)
+        if mat.ndim != 2:
+            raise ValueError("losses must be an (n, G + 1) matrix")
+        totals = [math.fsum(col) for col in mat.T.tolist()]
+        return cls(lambdas, totals, mat.shape[0], bound)
 
-    r_hat: float
-    n: int
+    def total(self, lam: float) -> float:
+        """Sum of the losses at threshold lam."""
+        return float(self.totals[np.searchsorted(self.lambdas, lam, side="right")])
 
 
 @dataclass(frozen=True)
@@ -106,40 +136,32 @@ class PValueGrid:
         object.__setattr__(self, "pvals", pv)
 
 
-def _loss_sum(curves, lam: float) -> float:
-    return math.fsum(c.eval(lam) for c in curves)
+def _first_ok(losses: Losses, domain: LambdaDomain, ok) -> float:
+    """Smallest candidate threshold whose loss sum passes ok, else domain.hi.
 
-
-def empirical_risk(curves, lam: float) -> RiskEstimate:
-    """Average loss over the curves at threshold lam.
-
-    Examples
-    --------
-    >>> curves = [LossCurve.zero_one(s) for s in (1.0, 2.0, 3.0)]
-    >>> empirical_risk(curves, 2.5).r_hat
-    0.3333333333333333
+    The candidates are the domain ends and every breakpoint strictly
+    inside.  ok must fail on a prefix of them and hold on the rest, as any
+    condition monotone in the sum does for non-increasing losses, so
+    binary search locates the boundary exactly.
     """
-    n = len(curves)
-    if n < 1:
-        raise ValueError("need at least one loss curve")
-    return RiskEstimate(r_hat=_loss_sum(curves, lam) / n, n=n)
+    lam = losses.lambdas
+    inner = lam[(lam > domain.lo) & (lam < domain.hi)]
+
+    def cand(k: int) -> float:
+        if k == 0:
+            return domain.lo
+        return float(inner[k - 1]) if k <= inner.size else domain.hi
+
+    k = bisect.bisect_left(
+        range(inner.size + 2), True, key=lambda k: ok(losses.total(cand(k)))
+    )
+    return cand(k)
 
 
-def _candidates(curves, domain: LambdaDomain) -> list[float]:
-    """Domain endpoints plus every interior breakpoint, ascending."""
-    pts = {
-        float(b)
-        for c in curves
-        for b in c.breakpoints
-        if domain.lo < b < domain.hi
-    }
-    return [domain.lo, *sorted(pts), domain.hi]
-
-
-def crc_lambda(curves, B: float, alpha, domain: LambdaDomain) -> float:
+def crc_lambda(losses: Losses, B: float, alpha, domain: LambdaDomain) -> float:
     """Conformal risk control: inf{lam : (n R_hat(lam) + B)/(n+1) <= alpha}.
 
-    The condition is monotone for non-increasing curves, so the infimum is
+    The condition is monotone for non-increasing losses, so the infimum is
     located by binary search over the exact breakpoint candidates; the
     comparison n R_hat + B <= alpha (n + 1) runs in rational arithmetic,
     with a float alpha moved onto the grid j/(n + 1) it rounds from, so
@@ -149,13 +171,10 @@ def crc_lambda(curves, B: float, alpha, domain: LambdaDomain) -> float:
 
     Examples
     --------
-    >>> curves = [LossCurve.zero_one(float(s)) for s in range(1, 10)]
-    >>> crc_lambda(curves, 1.0, 0.1, LambdaDomain(-math.inf, math.inf))
+    >>> losses = Losses.zero_one(range(1, 10))
+    >>> crc_lambda(losses, 1.0, 0.1, LambdaDomain(-math.inf, math.inf))
     9.0
     """
-    n = len(curves)
-    if n < 1:
-        raise ValueError("need at least one loss curve")
     B = float(B)
     if B <= 0:
         raise ValueError(f"loss bound must be positive, got B={B}")
@@ -165,44 +184,13 @@ def crc_lambda(curves, B: float, alpha, domain: LambdaDomain) -> float:
             f"need 0 < alpha <= B for a non-vacuous guarantee, got "
             f"alpha={alpha}, B={B}"
         )
-    for c in curves:
-        if c.bound is not None and c.bound > B:
-            raise ValueError(f"curve bound {c.bound} exceeds B={B}")
+    if losses.bound is not None and losses.bound > B:
+        raise ValueError(f"loss bound {losses.bound} exceeds B={B}")
 
     # sum of losses <= alpha (n + 1) - B, exactly
+    n = losses.n
     threshold = on_grid(alpha, n + 1) * (n + 1) - as_fraction(B)
-
-    def ok(lam: float) -> bool:
-        return Fraction(_loss_sum(curves, lam)) <= threshold
-
-    cands = _candidates(curves, domain)
-    if not ok(cands[-1]):
-        return domain.hi
-    if ok(cands[0]):
-        return domain.lo
-    # ok is False at index lo, True at index hi; curves are non-increasing
-    lo, hi = 0, len(cands) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(cands[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return cands[hi]
-
-
-def ucb_exact_binomial(count: int, n: int, delta: float) -> float:
-    """Exact binomial upper confidence bound on a 0-1 risk.
-
-    The smallest p whose lower binomial tail at the observed exceedance
-    count stays within delta.
-
-    Examples
-    --------
-    >>> round(ucb_exact_binomial(0, 100, 0.1), 5)
-    0.02276
-    """
-    return binom_inf_p(count, n, delta)
+    return _first_ok(losses, domain, lambda total: Fraction(total) <= threshold)
 
 
 def ucb_hoeffding(r_hat: float, n: int, delta: float, B: float) -> float:
@@ -216,10 +204,9 @@ def ucb_hoeffding(r_hat: float, n: int, delta: float, B: float) -> float:
     return r_hat + B * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
 
-def _zero_one_count(curves, lam: float) -> int:
-    total = _loss_sum(curves, lam)
+def _zero_one_count(total: float, n: int) -> int:
     count = round(total)
-    if abs(total - count) > _COUNT_TOL * max(1, len(curves)):
+    if abs(total - count) > _COUNT_TOL * max(1, n):
         raise ValueError(
             "exact binomial bound needs 0-1 losses; "
             f"sum of losses {total} is not an integer"
@@ -228,7 +215,7 @@ def _zero_one_count(curves, lam: float) -> int:
 
 
 def ucb_lambda(
-    curves,
+    losses: Losses,
     eps: float,
     delta: float,
     method: str = "exact-binomial",
@@ -239,64 +226,50 @@ def ucb_lambda(
     Selects inf{lam : R_hat_plus(lam') <= eps for all lam' >= lam}, where
     R_hat_plus is a pointwise 1 - delta upper confidence bound on the
     risk.  Both shipped bounds are monotone in the empirical risk, so for
-    non-increasing curves the condition is a suffix property of the
+    non-increasing losses the condition is a suffix property of the
     breakpoint candidates and binary search locates the boundary exactly.
     Returns the top of the domain when no threshold qualifies.
 
     Parameters
     ----------
-    curves : sequence of LossCurve
-        Non-increasing losses.
+    losses : Losses
+        Non-increasing losses of the calibration observations.
     eps : float
         Risk level to control.
     delta : float
         Confidence budget of the pointwise bound.
     method : {"exact-binomial", "hoeffding"}
-        Bound used for R_hat_plus.  The exact binomial one requires 0-1
-        losses and is never looser; the Hoeffding variant works for any
-        bounded loss (B taken from the curve bounds).
+        Bound used for R_hat_plus.  The exact binomial one, the smallest p
+        whose lower binomial tail at the observed exceedance count stays
+        within delta, requires 0-1 losses and is never looser; the
+        Hoeffding variant works for any bounded loss (B from the loss
+        bound).
     domain : LambdaDomain
         Threshold domain.
     """
-    n = len(curves)
-    if n < 1:
-        raise ValueError("need at least one loss curve")
+    n = losses.n
     eps = float(eps)
     delta = _check_prob("delta", delta, open_interval=True)
 
     if method == "exact-binomial":
 
-        def upper(lam: float) -> float:
-            return ucb_exact_binomial(_zero_one_count(curves, lam), n, delta)
+        def ok(total: float) -> bool:
+            return binom_inf_p(_zero_one_count(total, n), n, delta) <= eps
 
     elif method == "hoeffding":
-        bounds = [c.bound for c in curves]
-        if any(b is None for b in bounds):
-            raise ValueError("hoeffding bound needs every curve bound set")
-        B = max(bounds)
+        if losses.bound is None:
+            raise ValueError("hoeffding bound needs the loss bound set")
 
-        def upper(lam: float) -> float:
-            return ucb_hoeffding(_loss_sum(curves, lam) / n, n, delta, B)
+        def ok(total: float) -> bool:
+            return ucb_hoeffding(total / n, n, delta, losses.bound) <= eps
 
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    cands = _candidates(curves, domain)
-    if upper(cands[-1]) > eps:
-        return domain.hi
-    if upper(cands[0]) <= eps:
-        return domain.lo
-    lo, hi = 0, len(cands) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if upper(cands[mid]) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return cands[hi]
+    return _first_ok(losses, domain, ok)
 
 
-def ltt_pvalues(grid, curves, eps: float) -> PValueGrid:
+def ltt_pvalues(grid, losses: Losses, eps: float) -> PValueGrid:
     """Binomial p-values for the nulls R(lam_j) > eps on a threshold grid.
 
     p_j = Bin(n R_hat(lam_j); n, eps), super-uniform under the null for
@@ -304,19 +277,18 @@ def ltt_pvalues(grid, curves, eps: float) -> PValueGrid:
 
     Examples
     --------
-    >>> curves = [LossCurve.zero_one(s) for s in (1.0, 2.0)]
-    >>> round(float(ltt_pvalues([3.0], curves, 0.1).pvals[0]), 10)
+    >>> losses = Losses.zero_one([1.0, 2.0])
+    >>> round(float(ltt_pvalues([3.0], losses, 0.1).pvals[0]), 10)
     0.81
     """
-    n = len(curves)
-    if n < 1:
-        raise ValueError("need at least one loss curve")
+    n = losses.n
     eps = _check_prob("eps", eps, open_interval=True)
     lam = np.asarray(grid, dtype=float)
-    pv = np.array(
-        [binom_cdf(_zero_one_count(curves, la), n, eps) for la in lam]
-    )
-    return PValueGrid(lambdas=lam, pvals=pv)
+    totals = losses.totals[np.searchsorted(losses.lambdas, lam, side="right")]
+    counts = [_zero_one_count(t, n) for t in totals.tolist()]
+    # one CDF per distinct count: a fine grid repeats them
+    cdf = {k: binom_cdf(k, n, eps) for k in set(counts)}
+    return PValueGrid(lambdas=lam, pvals=np.array([cdf[k] for k in counts]))
 
 
 def ltt_bonferroni(pgrid: PValueGrid, delta: float) -> list[float]:
@@ -329,7 +301,9 @@ def ltt_bonferroni(pgrid: PValueGrid, delta: float) -> list[float]:
     [1.0]
     """
     delta = _check_prob("delta", delta, open_interval=True)
-    cut = delta / len(pgrid.pvals)
+    if not pgrid.pvals.size:
+        return []
+    cut = delta / pgrid.pvals.size
     return [float(l) for l, p in zip(pgrid.lambdas, pgrid.pvals) if p < cut]
 
 

@@ -35,7 +35,7 @@ from .dists import BetaParams, beta_reg, binom_cdf
 from .experiments import gen_synthetic, reference_law, run_trials, summarize
 from .nested import LambdaDomain
 from .predictors import KnnQuantileConfig, fit_knn_quantile
-from .risk import LossCurve, crc_lambda, ltt_fixed_sequence, ltt_pvalues, ucb_lambda
+from .risk import Losses, crc_lambda, ltt_fixed_sequence, ltt_pvalues, ucb_lambda
 
 __all__ = [
     "SuiteResult",
@@ -143,27 +143,27 @@ def equivalence_suite(
         if t % 2:
             vals = np.round(vals, 1)
         scores = NonconformityScores(vals)
-        curves = [LossCurve.zero_one(v) for v in vals]
+        losses = Losses.zero_one(vals)
 
         alpha = float(rng.uniform(0.02, 0.95))
-        if crc_lambda(curves, 1.0, alpha, everywhere) != q_fn(scores, alpha):
+        if crc_lambda(losses, 1.0, alpha, everywhere) != q_fn(scores, alpha):
             crc_bad += 1
 
         eps = float(rng.uniform(0.02, 0.6))
         delta = float(rng.uniform(0.02, 0.6))
-        if ucb_lambda(curves, eps, delta) != p_fn(scores, eps, delta):
+        if ucb_lambda(losses, eps, delta) != p_fn(scores, eps, delta):
             ucb_bad += 1
 
     ltt_bad = 0
     max_gap = 0.0
     for g in range(grid_sets):
         vals = rng.standard_normal(40)
-        curves = [LossCurve.zero_one(v) for v in vals]
+        losses = Losses.zero_one(vals)
         eps, delta = 0.2, 0.2
-        lam_ucb = ucb_lambda(curves, eps, delta)
+        lam_ucb = ucb_lambda(losses, eps, delta)
         grid = np.linspace(vals.min() - 0.5, vals.max() + 0.5, grid_size)
         step = float(grid[1] - grid[0])
-        kept = ltt_fixed_sequence(ltt_pvalues(grid, curves, eps), delta)
+        kept = ltt_fixed_sequence(ltt_pvalues(grid, losses, eps), delta)
         if math.isinf(lam_ucb):
             if kept:
                 ltt_bad += 1
@@ -297,20 +297,13 @@ def superuniform_suite(trials: int = 2000, seed: int = 0) -> SuiteResult:
 
     lam_grid = np.arange(1.0, 6.0)
     risks = eps + 0.05 * (len(lam_grid) - 1 - np.arange(len(lam_grid)))
+    # the step below the grid shares the risk at its first point
+    step_risks = np.concatenate((risks[:1], risks))
     false_hits = 0
     for _ in range(trials):
         u = rng.uniform(size=n)
-
-        def curve(ui: float) -> LossCurve:
-            def ev(lam: float, _u=ui) -> float:
-                j = int(np.searchsorted(lam_grid, lam, side="right")) - 1
-                j = min(max(j, 0), len(lam_grid) - 1)
-                return 1.0 if _u < risks[j] else 0.0
-
-            return LossCurve(eval=ev, bound=1.0, breakpoints=tuple(lam_grid))
-
-        curves = [curve(float(ui)) for ui in u]
-        kept = ltt_fixed_sequence(ltt_pvalues(lam_grid, curves, eps), delta)
+        losses = Losses.steps(lam_grid, u[:, None] < step_risks, bound=1.0)
+        kept = ltt_fixed_sequence(ltt_pvalues(lam_grid, losses, eps), delta)
         if any(risks[int(np.searchsorted(lam_grid, k))] > eps for k in kept):
             false_hits += 1
     fwer = false_hits / trials
@@ -329,54 +322,31 @@ def superuniform_suite(trials: int = 2000, seed: int = 0) -> SuiteResult:
     )
 
 
-SUITE_NAMES = (
-    "duality",
-    "equivalence",
-    "sandwich",
-    "identity",
-    "ks",
-    "superuniform",
-)
+# name -> (suite, whether it takes the trials and seed overrides)
+_SUITES = {
+    "duality": (duality_suite, True),
+    "equivalence": (equivalence_suite, True),
+    "sandwich": (sandwich_suite, False),
+    "identity": (identity_suite, False),
+    "ks": (ks_suite, True),
+    "superuniform": (superuniform_suite, True),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(
     names=SUITE_NAMES, trials: int | None = None, seed: int | None = None
 ) -> list[SuiteResult]:
     """Run the named suites with optional trial-count and seed overrides."""
+    overrides = {
+        key: value
+        for key, value in (("trials", trials), ("seed", seed))
+        if value is not None
+    }
     results = []
     for name in names:
-        if name == "duality":
-            kwargs = {}
-            if trials is not None:
-                kwargs["trials"] = trials
-            if seed is not None:
-                kwargs["seed"] = seed
-            results.append(duality_suite(**kwargs))
-        elif name == "equivalence":
-            kwargs = {}
-            if trials is not None:
-                kwargs["trials"] = trials
-            if seed is not None:
-                kwargs["seed"] = seed
-            results.append(equivalence_suite(**kwargs))
-        elif name == "sandwich":
-            results.append(sandwich_suite())
-        elif name == "identity":
-            results.append(identity_suite())
-        elif name == "ks":
-            kwargs = {}
-            if trials is not None:
-                kwargs["trials"] = trials
-            if seed is not None:
-                kwargs["seed"] = seed
-            results.append(ks_suite(**kwargs))
-        elif name == "superuniform":
-            kwargs = {}
-            if trials is not None:
-                kwargs["trials"] = trials
-            if seed is not None:
-                kwargs["seed"] = seed
-            results.append(superuniform_suite(**kwargs))
-        else:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
+        suite, takes_overrides = _SUITES[name]
+        results.append(suite(**overrides) if takes_overrides else suite())
     return results

@@ -33,7 +33,7 @@ from conformal_kit.predictors import (
     tune_nominal_quantiles,
 )
 from conformal_kit.risk import (
-    LossCurve,
+    Losses,
     crc_lambda,
     ltt_fixed_sequence,
     ltt_pvalues,
@@ -223,7 +223,7 @@ def test_criterion_6_route_equivalence():
         if t % 2:
             vals = np.round(vals, 1)
         scores = NonconformityScores(vals)
-        curves = [LossCurve.zero_one(float(v)) for v in scores.values]
+        curves = Losses.zero_one(scores.values)
         alpha = float(rng.uniform(0.01, 0.9))
         if crc_lambda(curves, 1.0, alpha, EVERYWHERE) != q_hat(scores, alpha).lambda_hat:
             crc_bad += 1
@@ -239,7 +239,7 @@ def test_criterion_6_route_equivalence():
         n = 40
         vals = np.sort(rng.normal(size=n))
         scores = NonconformityScores(vals)
-        curves = [LossCurve.zero_one(float(v)) for v in vals]
+        curves = Losses.zero_one(vals)
         eps = float(rng.uniform(0.1, 0.5))
         delta = float(rng.uniform(0.1, 0.5))
         lam_u = ucb_lambda(curves, eps, delta, domain=EVERYWHERE)

@@ -25,6 +25,8 @@ from conformal_kit.calibration import (
     wilks_is_tolerance,
 )
 from conformal_kit.dists import beta_reg, binom_cdf
+from conformal_kit.nested import LambdaDomain
+from conformal_kit.risk import Losses, crc_lambda
 
 from helpers import sort_scores
 
@@ -260,6 +262,21 @@ def test_fraction_levels_stay_exact():
     assert plan(9, Marginal(0.3)).order_index == 7
     assert marginal_bounds(9, exact).exact_mean == Fraction(8, 10)
     assert marginal_bounds(9, 0.3).exact_mean == Fraction(7, 10)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_levels_just_below_one_keep_a_rank(k):
+    # 1 - k 2^-53 lies within the snap window of 10/10 but is a level
+    # below 1: it selects the smallest score, not the empty set
+    alpha = 1 - k * 2**-53
+    assert alpha < 1
+    assert plan(9, Marginal(alpha)).order_index == 1
+    assert marginal_bounds(9, alpha).exact_mean == Fraction(1, 10)
+    values = np.arange(1.0, 10.0)
+    lam = q_hat(NonconformityScores(values), alpha).lambda_hat
+    assert lam == 1.0
+    everywhere = LambdaDomain(-math.inf, math.inf)
+    assert crc_lambda(Losses.zero_one(values), 1.0, alpha, everywhere) == lam
 
 
 def test_plan_matches_calibrators():

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from conformal_kit.calibration import NonconformityScores, p_hat, q_hat
-from conformal_kit.dists import binom_cdf, binom_inf_p
+from conformal_kit.dists import binom_cdf
 from conformal_kit.nested import LambdaDomain
 from conformal_kit.risk import (
-    LossCurve,
+    Losses,
     PValueGrid,
     crc_lambda,
-    empirical_risk,
     ltt_bonferroni,
     ltt_fixed_sequence,
     ltt_pvalues,
-    ucb_exact_binomial,
     ucb_hoeffding,
     ucb_lambda,
 )
@@ -25,21 +23,42 @@ EVERYWHERE = LambdaDomain(-math.inf, math.inf)
 
 
 def test_zero_one_curve_shape():
-    c = LossCurve.zero_one(2.0)
-    assert c.eval(1.9) == 1.0
-    assert c.eval(2.0) == 0.0
-    assert c.eval(5.0) == 0.0
-    assert c.bound == 1.0
-    assert c.breakpoints == (2.0,)
+    c = Losses.zero_one([2.0])
+    assert c.total(1.9) == 1.0
+    assert c.total(2.0) == 0.0
+    assert c.total(5.0) == 0.0
+    assert c.bound == 1.0 and c.n == 1
+    assert c.lambdas.tolist() == [2.0]
+    tied = Losses.zero_one([math.inf, 1.0, -math.inf, 1.0, 3.0])
+    assert tied.lambdas.tolist() == [-math.inf, 1.0, 3.0, math.inf]
+    assert tied.totals.tolist() == [5.0, 4.0, 2.0, 1.0, 0.0]
+    assert tied.total(-math.inf) == 4.0 and tied.total(math.inf) == 0.0
+
+
+def test_losses_validation():
+    with pytest.raises(ValueError):
+        Losses(np.array([2.0, 1.0]), np.zeros(3), 1)
+    with pytest.raises(ValueError):
+        Losses(np.array([1.0, 2.0]), np.zeros(2), 1)
+    with pytest.raises(ValueError):
+        Losses.zero_one([1.0, math.nan])
+    with pytest.raises(ValueError):
+        Losses.steps([1.0], [0.0, 1.0])
+
+
+def test_steps_sum_exactly():
+    # 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001 when added left to right
+    losses = Losses.steps([1.0], [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]], bound=1.0)
+    assert losses.totals.tolist() == [0.6, 0.0]
+    assert losses.n == 3 and losses.bound == 1.0
 
 
 def test_empirical_risk():
-    curves = [LossCurve.zero_one(s) for s in (1.0, 2.0, 3.0, 4.0)]
-    est = empirical_risk(curves, 2.5)
-    assert est.r_hat == 0.5 and est.n == 4
-    assert empirical_risk(curves, 0.0).r_hat == 1.0
+    losses = Losses.zero_one([1.0, 2.0, 3.0, 4.0])
+    assert losses.total(2.5) / losses.n == 0.5 and losses.n == 4
+    assert losses.total(0.0) / losses.n == 1.0
     with pytest.raises(ValueError):
-        empirical_risk([], 1.0)
+        Losses.zero_one([])
 
 
 def test_crc_matches_quantile_rule():
@@ -52,8 +71,8 @@ def test_crc_matches_quantile_rule():
             vals = np.round(vals, 1)  # force ties
         alpha = float(rng.uniform(0.01, 0.9))
         lam_q = q_hat(NonconformityScores(vals), alpha).lambda_hat
-        curves = [LossCurve.zero_one(float(s)) for s in vals]
-        lam_c = crc_lambda(curves, 1.0, alpha, EVERYWHERE)
+        losses = Losses.zero_one(vals)
+        lam_c = crc_lambda(losses, 1.0, alpha, EVERYWHERE)
         mismatches += lam_c != lam_q
     assert mismatches == 0
 
@@ -62,52 +81,45 @@ def test_crc_matches_quantile_rule_on_level_boundaries():
     # alpha (n + 1) is an integer for every level here, and the float of
     # about half of them lies below the decimal
     n = 9999
-    curves = [LossCurve.zero_one(float(s)) for s in range(1, n + 1)]
+    losses = Losses.zero_one(range(1, n + 1))
     scores = NonconformityScores(np.arange(1.0, n + 1.0))
     for i in range(50, 201):
         alpha = float(f"0.{i:03d}")
-        assert crc_lambda(curves, 1.0, alpha, EVERYWHERE) == q_hat(
+        assert crc_lambda(losses, 1.0, alpha, EVERYWHERE) == q_hat(
             scores, alpha
         ).lambda_hat, alpha
 
 
 def test_crc_validation():
-    curves = [LossCurve.zero_one(1.0)]
+    losses = Losses.zero_one([1.0])
     with pytest.raises(ValueError):
-        crc_lambda([], 1.0, 0.1, EVERYWHERE)
+        crc_lambda(losses, 0.0, 0.1, EVERYWHERE)
     with pytest.raises(ValueError):
-        crc_lambda(curves, 0.0, 0.1, EVERYWHERE)
+        crc_lambda(losses, 1.0, 0.0, EVERYWHERE)
     with pytest.raises(ValueError):
-        crc_lambda(curves, 1.0, 0.0, EVERYWHERE)
+        crc_lambda(losses, 1.0, 1.5, EVERYWHERE)
+    fat = Losses.steps([], [[2.0]], bound=2.0)
     with pytest.raises(ValueError):
-        crc_lambda(curves, 1.0, 1.5, EVERYWHERE)
-    fat = LossCurve(eval=lambda lam: 2.0, bound=2.0)
-    with pytest.raises(ValueError):
-        crc_lambda([fat], 1.0, 0.5, EVERYWHERE)
+        crc_lambda(fat, 1.0, 0.5, EVERYWHERE)
 
 
 def test_crc_domain_sentinels():
-    curves = [LossCurve.zero_one(float(s)) for s in range(1, 6)]
+    losses = Losses.zero_one(range(1, 6))
     # alpha below B/(n+1): no threshold qualifies
-    assert crc_lambda(curves, 1.0, 0.1, EVERYWHERE) == math.inf
+    assert crc_lambda(losses, 1.0, 0.1, EVERYWHERE) == math.inf
     dom = LambdaDomain(0.0, 10.0)
-    assert crc_lambda(curves, 1.0, 0.1, dom) == 10.0
+    assert crc_lambda(losses, 1.0, 0.1, dom) == 10.0
     # alpha = B: condition already holds at the bottom
-    assert crc_lambda(curves, 1.0, 1.0, dom) == 0.0
+    assert crc_lambda(losses, 1.0, 1.0, dom) == 0.0
 
 
 def test_crc_fractional_losses_exact_boundary():
-    def staircase(levels, points):
-        def ev(lam, _l=tuple(levels), _p=tuple(points)):
-            i = sum(lam >= p for p in _p)
-            return _l[i]
-
-        return LossCurve(eval=ev, bound=1.0, breakpoints=tuple(points))
-
-    c1 = staircase([1.0, 0.4, 0.0], [0.0, 1.0])
-    c2 = staircase([0.9, 0.1], [0.5])
+    # two staircases on the breakpoints 0.0, 0.5, 1.0
+    losses = Losses.steps(
+        [0.0, 0.5, 1.0], [[1.0, 0.4, 0.4, 0.0], [0.9, 0.9, 0.1, 0.1]], bound=1.0
+    )
     # sum at 0.5 is exactly alpha (n+1) - B: boundary must count as inside
-    lam = crc_lambda([c1, c2], 1.0, 0.5, EVERYWHERE)
+    lam = crc_lambda(losses, 1.0, 0.5, EVERYWHERE)
     assert lam == 0.5
 
 
@@ -117,18 +129,13 @@ def test_crc_expected_risk_sandwich():
     risks = []
     for _ in range(trials):
         u = rng.uniform(size=n)
-        curves = [LossCurve.zero_one(float(s)) for s in u]
-        lam = crc_lambda(curves, 1.0, alpha, LambdaDomain(0.0, 1.0))
+        losses = Losses.zero_one(u)
+        lam = crc_lambda(losses, 1.0, alpha, LambdaDomain(0.0, 1.0))
         risks.append(1.0 - lam)  # true miscoverage of U(0,1) at lam
     mean = float(np.mean(risks))
     se = float(np.std(risks)) / math.sqrt(trials)
     assert mean <= alpha + 3 * se
     assert mean >= alpha - 1.0 / (n + 1) - 3 * se
-
-
-def test_ucb_exact_binomial_values():
-    assert ucb_exact_binomial(0, 100, 0.1) == binom_inf_p(0, 100, 0.1)
-    assert ucb_exact_binomial(99, 1000, 0.1) == 0.11220307321122522
 
 
 def test_ucb_hoeffding_formula():
@@ -153,17 +160,17 @@ def test_ucb_matches_tolerance_rule():
         eps = float(rng.uniform(0.02, 0.6))
         delta = float(rng.uniform(0.02, 0.6))
         lam_p = p_hat(NonconformityScores(vals), eps, delta).lambda_hat
-        curves = [LossCurve.zero_one(float(s)) for s in vals]
-        lam_u = ucb_lambda(curves, eps, delta, domain=EVERYWHERE)
+        losses = Losses.zero_one(vals)
+        lam_u = ucb_lambda(losses, eps, delta, domain=EVERYWHERE)
         mismatches += lam_u != lam_p
     assert mismatches == 0
 
 
 def test_ucb_infeasible_returns_top():
-    curves = [LossCurve.zero_one(float(s)) for s in range(1, 21)]
+    losses = Losses.zero_one(range(1, 21))
     # 0.99^20 = 0.818 > 0.1: even zero exceedances cannot certify eps
-    assert ucb_lambda(curves, 0.01, 0.1, domain=EVERYWHERE) == math.inf
-    assert ucb_lambda(curves, 0.01, 0.1, domain=LambdaDomain(0.0, 30.0)) == 30.0
+    assert ucb_lambda(losses, 0.01, 0.1, domain=EVERYWHERE) == math.inf
+    assert ucb_lambda(losses, 0.01, 0.1, domain=LambdaDomain(0.0, 30.0)) == 30.0
 
 
 def test_ucb_hoeffding_never_tighter():
@@ -173,24 +180,24 @@ def test_ucb_hoeffding_never_tighter():
         vals = rng.normal(size=n)
         eps = float(rng.uniform(0.1, 0.6))
         delta = float(rng.uniform(0.05, 0.5))
-        curves = [LossCurve.zero_one(float(s)) for s in vals]
-        lam_e = ucb_lambda(curves, eps, delta, domain=EVERYWHERE)
-        lam_h = ucb_lambda(curves, eps, delta, method="hoeffding", domain=EVERYWHERE)
+        losses = Losses.zero_one(vals)
+        lam_e = ucb_lambda(losses, eps, delta, domain=EVERYWHERE)
+        lam_h = ucb_lambda(losses, eps, delta, method="hoeffding", domain=EVERYWHERE)
         assert lam_h >= lam_e
 
 
 def test_ucb_method_validation():
-    curves = [LossCurve.zero_one(1.0)]
+    losses = Losses.zero_one([1.0])
     with pytest.raises(ValueError):
-        ucb_lambda(curves, 0.1, 0.1, method="bootstrap")
+        ucb_lambda(losses, 0.1, 0.1, method="bootstrap")
+    unbounded = Losses.steps([1.0], [[0.0, 0.0]])
     with pytest.raises(ValueError):
-        ucb_lambda([], 0.1, 0.1)
-    unbounded = LossCurve(eval=lambda lam: 0.0, bound=None, breakpoints=(1.0,))
+        ucb_lambda(unbounded, 0.1, 0.1, method="hoeffding")
+    half = Losses.steps([1.0], [[0.5, 0.5]] * 3, bound=1.0)
     with pytest.raises(ValueError):
-        ucb_lambda([unbounded], 0.1, 0.1, method="hoeffding")
-    half = LossCurve(eval=lambda lam: 0.5, bound=1.0, breakpoints=(1.0,))
+        ucb_lambda(half, 0.1, 0.1)  # exact bound needs 0-1 losses
     with pytest.raises(ValueError):
-        ucb_lambda([half] * 3, 0.1, 0.1)  # exact bound needs 0-1 losses
+        ltt_pvalues([1.0], half, 0.1)
 
 
 def test_pvalue_grid_validation():
@@ -203,14 +210,12 @@ def test_pvalue_grid_validation():
 
 
 def test_ltt_pvalues_spot_and_monotone():
-    curves = [LossCurve.zero_one(s) for s in (1.0, 2.0, 3.0, 4.0)]
-    grid = ltt_pvalues([0.5, 1.5, 2.5, 3.5, 4.5], curves, 0.3)
+    losses = Losses.zero_one((1.0, 2.0, 3.0, 4.0))
+    grid = ltt_pvalues([0.5, 1.5, 2.5, 3.5, 4.5], losses, 0.3)
     for lam, p in zip(grid.lambdas, grid.pvals):
         count = sum(s > lam for s in (1.0, 2.0, 3.0, 4.0))
         assert p == binom_cdf(count, 4, 0.3)
     assert np.all(np.diff(grid.pvals) <= 0)
-    with pytest.raises(ValueError):
-        ltt_pvalues([1.0], [], 0.3)
 
 
 def test_ltt_bonferroni_strict_cut():
@@ -218,6 +223,8 @@ def test_ltt_bonferroni_strict_cut():
     # cut = 0.1 / 2 exactly equals the first p-value: strict, so excluded
     assert ltt_bonferroni(g, 0.1) == []
     assert ltt_bonferroni(g, 0.11) == [1.0]
+    empty = PValueGrid(np.array([]), np.array([]))
+    assert ltt_bonferroni(empty, 0.1) == []
 
 
 def test_ltt_fixed_sequence_walk():
@@ -238,17 +245,17 @@ def test_ltt_selection_brackets_ucb():
         vals = np.sort(rng.normal(size=n))
         eps = float(rng.uniform(0.05, 0.5))
         delta = float(rng.uniform(0.05, 0.5))
-        curves = [LossCurve.zero_one(float(s)) for s in vals]
-        lam_u = ucb_lambda(curves, eps, delta, domain=EVERYWHERE)
+        losses = Losses.zero_one(vals)
+        lam_u = ucb_lambda(losses, eps, delta, domain=EVERYWHERE)
         grid = np.linspace(vals[0] - 0.5, vals[-1] + 0.5, 2001)
         step = grid[1] - grid[0]
-        kept = ltt_fixed_sequence(ltt_pvalues(grid, curves, eps), delta)
+        kept = ltt_fixed_sequence(ltt_pvalues(grid, losses, eps), delta)
         if math.isinf(lam_u):
             assert kept == []
         else:
             assert lam_u <= kept[0] <= lam_u + step
             # monotone p-values: bonferroni keeps a subset of the suffix
-            bon = ltt_bonferroni(ltt_pvalues(grid, curves, eps), delta)
+            bon = ltt_bonferroni(ltt_pvalues(grid, losses, eps), delta)
             assert set(bon) <= set(kept)
 
 
@@ -274,18 +281,10 @@ def test_ltt_fwer_simulation():
     hits = 0
     for _ in range(trials):
         u = rng.uniform(size=n)
-
-        def make(ui):
-            def ev(lam):
-                j = np.searchsorted(lam_grid, lam, side="right") - 1
-                if j < 0:
-                    return 1.0
-                return 1.0 if ui < risks[j] else 0.0
-
-            return LossCurve(eval=ev, bound=1.0, breakpoints=tuple(lam_grid))
-
-        curves = [make(float(ui)) for ui in u]
-        kept = ltt_fixed_sequence(ltt_pvalues(lam_grid, curves, eps), delta)
+        # loss 1 below the grid, then 1{u_i < R(lam_j)} on each step
+        steps = np.column_stack([np.ones(n), u[:, None] < risks])
+        losses = Losses.steps(lam_grid, steps, bound=1.0)
+        kept = ltt_fixed_sequence(ltt_pvalues(lam_grid, losses, eps), delta)
         chosen = {int(np.searchsorted(lam_grid, l)) for l in kept}
         hits += bool(chosen & bad)
     rate = hits / trials

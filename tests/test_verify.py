@@ -52,3 +52,13 @@ def test_trial_override_reaches_suites():
     assert fast.detail["trials"] == 10
     (seeded,) = run_suites(["duality"], trials=10, seed=123)
     assert seeded.passed
+    (equivalence,) = run_suites(["equivalence"], trials=6, seed=5)
+    assert equivalence.detail["trials"] == 6
+    (superuniform,) = run_suites(["superuniform"], trials=40, seed=5)
+    assert superuniform.detail["worlds"] == 40
+
+
+def test_fixed_suites_ignore_overrides():
+    results = run_suites(["sandwich", "identity"], trials=3, seed=9)
+    assert [r.name for r in results] == ["sandwich", "identity"]
+    assert all(r.passed for r in results)
