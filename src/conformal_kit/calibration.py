@@ -82,7 +82,8 @@ class NonconformityScores:
     """
 
     def __init__(self, values):
-        arr = np.sort(np.asarray(values, dtype=float).ravel())
+        # + 0.0 turns -0.0 into 0.0, so a zero threshold is always 0.0
+        arr = np.sort(np.asarray(values, dtype=float).ravel()) + 0.0
         if arr.size == 0:
             raise ValueError("need at least one calibration score")
         if np.isnan(arr).any():

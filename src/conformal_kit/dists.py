@@ -2,13 +2,24 @@
 
 Every calibrator in this package reduces to inverting one of three
 cumulative distribution functions, and the printed reference tables
-require those inversions to stay exact out to n = 10^5.  The binomial and beta-binomial
+require those inversions to be exact.  The binomial and beta-binomial
 CDFs are therefore evaluated from first principles: pmf terms are generated
 by the ratio recurrence between neighbours, anchored at the mode,
 accumulated in extended precision and normalized by their own total, so no
 cancellation and no external special function enters the result.  The
 regularized incomplete beta function comes from scipy, which evaluates the
 standard continued fraction.
+
+The binomial inversions ``binom_sup_k`` (in k) and ``binom_inf_p`` (in p)
+are bisections on the exact CDF.  Each starts from a certified bracket:
+scipy's continuous inversion (``bdtrik``, ``betaincinv``) gives a guess,
+and an end beside it counts once the exact CDF there clears the level by
+the relative ``_MARGIN``, far above the CDF's own error.  The CDF is
+monotone, so every probe beyond a certified end has that end's outcome
+and skips the CDF; only probes inside the bracket evaluate it, near the
+root, where its chains are short.  The probe sequence and the result are
+those of the plain bisection, bit for bit; an end that fails to certify,
+or a guess that is not finite, leaves that side to the plain bisection.
 
 Integer inversions follow the lower quantile convention throughout: the
 largest k whose CDF does not exceed the level.
@@ -21,7 +32,9 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import bdtrik as _bdtrik
 from scipy.special import betainc as _scipy_betainc
+from scipy.special import betaincinv as _betaincinv
 
 __all__ = [
     "BetaParams",
@@ -31,7 +44,6 @@ __all__ = [
     "binom_sup_k",
     "binom_inf_p",
     "beta_reg",
-    "beta_quantile",
     "betabin_pmf",
     "betabin_cdf",
     "betabin_quantile",
@@ -43,7 +55,15 @@ __all__ = [
 _WINDOW_SIGMAS = 12.0
 _WINDOW_PAD = 64
 
-_BISECT_MAX_ITER = 200
+# Enough halvings of [0, 1] to reach adjacent doubles anywhere in it,
+# subnormals included; running out raises instead of returning early.
+_BISECT_MAX_ITER = 1100
+
+# A bracket end is certified when its exact CDF clears the level by this
+# relative margin, 1000 times binom_cdf's relative error; a probe beyond a
+# certified end then has the outcome its own evaluation would give.
+_MARGIN = 1e-9
+_GUESS_STEPS = (1e-9, 1e-6, 1e-3)
 
 
 @dataclass(frozen=True)
@@ -209,12 +229,34 @@ def binom_cdf(k, n, p: float) -> float:
     return float((total - upper) / total)
 
 
+def _sup_k_bracket(n: int, eps: float, delta: float) -> tuple[int, int]:
+    """Certified ends (a, b): every k <= a meets delta, every k >= b does not.
+
+    The ends sit one count beyond scipy's ``bdtrik`` guess either way; one
+    that fails to certify stays at -1 or n, which certifies nothing.
+    """
+    a, b = -1, n
+    g = float(_bdtrik(delta, n, eps))
+    if math.isfinite(g):
+        ga = min(max(math.floor(g) - 1, 0), n)
+        gb = min(max(math.ceil(g) + 1, 0), n)
+        if binom_cdf(ga, n, eps) <= delta * (1.0 - _MARGIN):
+            a = ga
+        if binom_cdf(gb, n, eps) > delta * (1.0 + _MARGIN):
+            b = gb
+    return a, b
+
+
 def binom_sup_k(n, eps: float, delta: float) -> SupKResult:
     """Largest k in {0..n} with Bin(k; n, eps) <= delta.
 
     Monotone binary search over k; the CDF is non-decreasing in k, so the
     bracket invariant is exact.  Returns an infeasible result when even
     k = 0 exceeds delta, which happens iff (1 - eps)^n > delta.
+
+    Probes outside the certified bracket of ``_sup_k_bracket`` take its
+    ends' outcomes, so only probes near the root call ``binom_cdf``; the
+    result is the plain search's (see the module docstring).
 
     Examples
     --------
@@ -226,16 +268,37 @@ def binom_sup_k(n, eps: float, delta: float) -> SupKResult:
     n = _check_trials("n", n)
     eps = _check_prob("eps", eps, open_interval=True)
     delta = _check_prob("delta", delta, open_interval=True)
-    if binom_cdf(0, n, eps) > delta:
+    a, b = _sup_k_bracket(n, eps, delta)
+    if a < 0 and binom_cdf(0, n, eps) > delta:
         return SupKResult(None)
     lo, hi = 0, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if binom_cdf(mid, n, eps) <= delta:
+        if mid <= a or (mid < b and binom_cdf(mid, n, eps) <= delta):
             lo = mid
         else:
             hi = mid
     return SupKResult(lo)
+
+
+def _inf_p_bracket(k: int, n: int, delta: float) -> tuple[float, float]:
+    """Certified ends (a, b): every p <= a misses delta, every p >= b meets it.
+
+    The ends are tried at a relative step 1e-9, 1e-6, then 1e-3 either side
+    of scipy's ``betaincinv`` root (``bdtri`` is NaN for n >= 10^12); one
+    that fails to certify stays at 0 or 1, which certifies nothing.
+    """
+    a, b = 0.0, 1.0
+    g = float(_betaincinv(k + 1, n - k, 1.0 - delta))
+    if not 0.0 < g < 1.0:
+        return a, b
+    for r in _GUESS_STEPS:
+        lo, hi = g * (1.0 - r), g * (1.0 + r)
+        if a == 0.0 and binom_cdf(k, n, lo) > delta * (1.0 + _MARGIN):
+            a = lo
+        if b == 1.0 and hi < 1.0 and binom_cdf(k, n, hi) <= delta * (1.0 - _MARGIN):
+            b = hi
+    return a, b
 
 
 def binom_inf_p(k, n, delta: float) -> float:
@@ -246,6 +309,12 @@ def binom_inf_p(k, n, delta: float) -> float:
     and returned from the admissible (upper) side of the final bracket.
     k < 0 gives 0 (the CDF is identically zero) and k >= n gives 1 (the
     CDF is identically one, so only the limit qualifies).
+
+    Probes outside the certified bracket of ``_inf_p_bracket`` take its
+    ends' outcomes, so only probes near the root call ``binom_cdf``; the
+    result is the plain bisection's (see the module docstring).  Raises
+    ArithmeticError if ``_BISECT_MAX_ITER`` halvings do not reach
+    adjacent doubles.
 
     Examples
     --------
@@ -261,16 +330,20 @@ def binom_inf_p(k, n, delta: float) -> float:
         return 0.0
     if k >= n:
         return 1.0
+    a, b = _inf_p_bracket(k, n, delta)
     lo, hi = 0.0, 1.0
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
-        if binom_cdf(k, n, mid) <= delta:
+            return hi
+        if mid >= b or (mid > a and binom_cdf(k, n, mid) <= delta):
             hi = mid
         else:
             lo = mid
-    return hi
+    raise ArithmeticError(
+        f"binom_inf_p({k}, {n}, {delta}) did not converge in"
+        f" {_BISECT_MAX_ITER} halvings"
+    )
 
 
 def beta_reg(x: float, params: BetaParams) -> float:
@@ -285,25 +358,6 @@ def beta_reg(x: float, params: BetaParams) -> float:
     """
     x = _check_prob("x", x)
     return float(_scipy_betainc(params.a, params.b, x))
-
-
-def beta_quantile(q: float, params: BetaParams) -> float:
-    """Inverse of ``beta_reg``: x with |I_x(a, b) - q| <= 1e-10.
-
-    Bisection against beta_reg itself; the interval collapses to floating
-    point resolution in at most ~60 halvings.
-    """
-    q = _check_prob("q", q, open_interval=True)
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if beta_reg(mid, params) <= q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _betabin_terms(params: BetaBinParams) -> np.ndarray:

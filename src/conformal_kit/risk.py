@@ -92,7 +92,8 @@ class Losses:
     @classmethod
     def zero_one(cls, scores) -> "Losses":
         """Miscoverage losses 1{score > lam} of calibration scores."""
-        s = np.sort(np.asarray(scores, dtype=float).ravel())
+        # + 0.0 turns -0.0 into 0.0, as NonconformityScores does
+        s = np.sort(np.asarray(scores, dtype=float).ravel()) + 0.0
         lam = np.unique(s)
         above = s.size - np.searchsorted(s, lam, side="right")
         return cls(lam, np.concatenate(([s.size], above)), s.size, bound=1.0)

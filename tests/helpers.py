@@ -3,14 +3,20 @@
 Everything here is deliberately implemented with tools the library itself
 does not use for the quantity under test (mpmath multi-precision, exact
 Fraction arithmetic, scipy.stats reference distributions), so that each
-numerical claim is checked through two unrelated routes.
+numerical claim is checked through two unrelated routes.  The two
+``*_bisect`` searches are the exception: they replay ``binom_sup_k`` and
+``binom_inf_p`` with every probe evaluated by the package's own
+``binom_cdf``, the reference the bracketed searches must match bit for bit.
 """
 
+import math
 from fractions import Fraction
 from math import comb
 
 import mpmath
 import numpy as np
+
+from conformal_kit.dists import SupKResult, binom_cdf
 
 
 def binom_cdf_mp(k: int, n: int, p, dps: int = 40) -> mpmath.mpf:
@@ -125,17 +131,37 @@ def beta_cdf_mp(x, a, b, dps: int = 40) -> mpmath.mpf:
         return mpmath.betainc(a, b, 0, mpmath.mpf(x), regularized=True)
 
 
-def beta_quantile_mp(q, a, b, dps: int = 40) -> mpmath.mpf:
-    with mpmath.workdps(dps):
-        qq = mpmath.mpf(q)
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        for _ in range(dps * 4):
-            mid = (lo + hi) / 2
-            if beta_cdf_mp(mid, a, b, dps=dps) < qq:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+def binom_sup_k_bisect(n: int, eps: float, delta: float) -> SupKResult:
+    """``binom_sup_k`` as a plain bisection that calls binom_cdf at every probe."""
+    if binom_cdf(0, n, eps) > delta:
+        return SupKResult(None)
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if binom_cdf(mid, n, eps) <= delta:
+            lo = mid
+        else:
+            hi = mid
+    return SupKResult(lo)
+
+
+def binom_inf_p_bisect(k: int, n: int, delta: float) -> float:
+    """``binom_inf_p`` as a plain bisection that calls binom_cdf at every probe."""
+    k = math.floor(k)
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if binom_cdf(k, n, mid) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def sort_scores(values) -> np.ndarray:

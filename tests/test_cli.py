@@ -95,6 +95,18 @@ def test_calibrate_route_agreement(scores_1000, capsys):
     assert split == payload_of("--eps", "0.1", "--delta", "0.1", "--method", "ltt")
 
 
+@pytest.mark.parametrize("values", [[0.0, -0.0, 1.0, 1.0], [-0.0, 0.0, 1.0, 1.0]])
+@pytest.mark.parametrize("method", ["split", "crc"])
+def test_calibrate_zero_threshold_prints_positive_zero(tmp_path, capsys, values, method):
+    path = write_scores(tmp_path, values)
+    code, out, _ = run(
+        capsys,
+        "calibrate", "--scores", path, "--alpha", "0.6", "--method", method,
+    )
+    assert code == 0
+    assert '"lambda_hat": 0.0,' in out
+
+
 def test_calibrate_infeasible_tolerance(tmp_path, capsys):
     path = write_scores(tmp_path, np.arange(1.0, 21.0))
     for method in ("split", "ucb", "ltt"):

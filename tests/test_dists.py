@@ -6,16 +6,19 @@ multi-precision summation, or scipy's betainc-based reference.
 """
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conformal_kit import cli, dists
 from conformal_kit.dists import (
     BetaBinParams,
     BetaParams,
-    beta_quantile,
     beta_reg,
     betabin_cdf,
     betabin_pmf,
@@ -27,13 +30,14 @@ from conformal_kit.dists import (
 
 from helpers import (
     beta_cdf_mp,
-    beta_quantile_mp,
     betabin_cdf_exact,
     betabin_pmf_exact,
     binom_cdf_exact,
     binom_cdf_mp,
     binom_cdf_mpsum,
+    binom_inf_p_bisect,
     binom_inf_p_mp,
+    binom_sup_k_bisect,
     binom_sup_k_exact,
 )
 
@@ -197,6 +201,101 @@ def test_binom_inf_p_edges_and_oracle():
         assert binom_inf_p(k, n, delta) == pytest.approx(want, rel=1e-12)
 
 
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def _levels(draw):
+    """A two-decimal level, or log-uniform in [1e-9, 0.5], mirrored near 1."""
+    tiny = math.exp(draw(st.floats(math.log(1e-9), math.log(0.5))))
+    return draw(
+        st.one_of(
+            st.integers(1, 99).map(lambda j: j / 100),
+            st.sampled_from([tiny, 1.0 - tiny]),
+        )
+    )
+
+
+def _assert_inversions_match_bisection(n, data):
+    eps = data.draw(_levels())
+    delta = data.draw(_levels())
+    near = math.floor(eps * n)
+    k = data.draw(st.sampled_from([-1, 0, n - 1, n, near - 1, near, near + 1]))
+    assert binom_sup_k(n, eps, delta) == binom_sup_k_bisect(n, eps, delta)
+    got = binom_inf_p(k, n, delta)
+    assert _bits(got) == _bits(binom_inf_p_bisect(k, n, delta)), (k, n, delta)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 2000), st.data())
+def test_inversions_replay_plain_bisection(n, data):
+    _assert_inversions_match_bisection(n, data)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(st.sampled_from([999_983, 1_000_000, 1_048_576]), st.data())
+def test_inversions_replay_plain_bisection_near_a_million(n, data):
+    _assert_inversions_match_bisection(n, data)
+
+
+@pytest.mark.parametrize("sigmas", [math.nan, 10.0, -10.0])
+def test_inversions_without_a_usable_guess(monkeypatch, sigmas):
+    # a NaN guess certifies no end; one 10 sigma off certifies at most the
+    # end on its own side of the root
+    bdtrik, betaincinv = dists._bdtrik, dists._betaincinv
+    monkeypatch.setattr(
+        dists,
+        "_bdtrik",
+        lambda y, n, p: bdtrik(y, n, p) + sigmas * math.sqrt(n * p * (1 - p)),
+    )
+
+    def off_betaincinv(a, b, y):
+        g = betaincinv(a, b, y)
+        return g + sigmas * math.sqrt(g * (1 - g) / (a + b - 1))
+
+    monkeypatch.setattr(dists, "_betaincinv", off_betaincinv)
+    for n, eps, delta, k in [
+        (1, 0.5, 0.3, 0),
+        (100, 0.1, 0.1, 9),
+        (1000, 0.01, 0.05, 3),
+        (2000, 0.9, 1e-6, 1790),
+        (20_000, 0.05, 0.5, 999),
+    ]:
+        assert binom_sup_k(n, eps, delta) == binom_sup_k_bisect(n, eps, delta)
+        got = binom_inf_p(k, n, delta)
+        assert _bits(got) == _bits(binom_inf_p_bisect(k, n, delta))
+
+
+def test_tables_probe_binom_cdf_only_near_the_roots(monkeypatch, capsys):
+    calls = []
+    real = dists.binom_cdf
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dists, "binom_cdf", counted)
+    assert cli.main(["tables", "--n", "1000003", "--levels", "0.1"]) == 0
+    capsys.readouterr()
+    # a plain bisection over [0, n] and [0, 1] makes 77 calls here
+    assert 0 < len(calls) < 40
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100, 300])
+def test_binom_inf_p_tiny_root_is_smallest_admissible_double(digits):
+    n = 10**digits
+    p = binom_inf_p(0, n, 0.1)
+    assert binom_cdf(0, n, p) <= 0.1
+    assert binom_cdf(0, n, np.nextafter(p, 0.0)) > 0.1
+
+
+def test_binom_inf_p_raises_when_halvings_run_out(monkeypatch):
+    monkeypatch.setattr(dists, "_BISECT_MAX_ITER", 30)
+    with pytest.raises(ArithmeticError):
+        binom_inf_p(99, 1000, 0.1)
+
+
 def test_beta_params_validation():
     with pytest.raises(ValueError):
         BetaParams(0, 3)
@@ -216,18 +315,6 @@ def test_beta_reg_against_mp():
         )
     assert beta_reg(0.0, BetaParams(2, 3)) == 0.0
     assert beta_reg(1.0, BetaParams(2, 3)) == 1.0
-
-
-def test_beta_quantile_roundtrip():
-    rng = np.random.default_rng(29)
-    for _ in range(30):
-        a = int(rng.integers(1, 900))
-        b = int(rng.integers(1, 900))
-        q = float(rng.uniform(0.01, 0.99))
-        x = beta_quantile(q, BetaParams(a, b))
-        assert beta_reg(x, BetaParams(a, b)) == pytest.approx(q, abs=1e-10)
-        want = float(beta_quantile_mp(q, a, b, dps=40))
-        assert x == pytest.approx(want, abs=1e-12)
 
 
 def test_betabin_pmf_exact_small():

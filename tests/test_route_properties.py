@@ -3,8 +3,8 @@
 Generated inputs cover what seeded draws rarely hit: heavy ties, +-inf
 scores, a single calibration score, and levels on a rank boundary
 j/(n + 1) or one ulp to either side of it.  Thresholds must be the same
-float; only a zero threshold may differ in its sign, which the routes
-do not pin down when both 0.0 and -0.0 are among the scores.
+float, sign bit included: a zero threshold is 0.0 on every route even
+when both 0.0 and -0.0 are among the scores.
 """
 
 import math
@@ -18,10 +18,16 @@ from conformal_kit.risk import Losses, crc_lambda, ucb_lambda
 
 EVERYWHERE = LambdaDomain(-math.inf, math.inf)
 
-# a few shared values force ties; the infinities sit among them
+
+def same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# a few shared values force ties, 0.0 and -0.0 among them; the infinities
+# sit among them
 scores = st.lists(
     st.one_of(
-        st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 2.0, math.inf]),
+        st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 2.0, math.inf]),
         st.floats(-100.0, 100.0),
     ),
     min_size=1,
@@ -50,7 +56,7 @@ def test_crc_is_q_hat(data):
     alpha = data.draw(levels(len(vals)))
     want = q_hat(NonconformityScores(vals), alpha).lambda_hat
     got = crc_lambda(Losses.zero_one(vals), 1.0, alpha, EVERYWHERE)
-    assert got == want, (vals, alpha)
+    assert same_float(got, want), (vals, alpha)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -61,7 +67,7 @@ def test_ucb_is_p_hat(data):
     delta = data.draw(st.floats(0.01, 0.99))
     want = p_hat(NonconformityScores(vals), eps, delta).lambda_hat
     got = ucb_lambda(Losses.zero_one(vals), eps, delta, domain=EVERYWHERE)
-    assert got == want, (vals, eps, delta)
+    assert same_float(got, want), (vals, eps, delta)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -76,8 +82,12 @@ def test_single_score_routes(score, data):
     delta = data.draw(st.floats(0.01, 0.99))
     cal = NonconformityScores([score])
     losses = Losses.zero_one([score])
-    assert crc_lambda(losses, 1.0, alpha, EVERYWHERE) == q_hat(cal, alpha).lambda_hat
-    assert ucb_lambda(losses, alpha, delta) == p_hat(cal, alpha, delta).lambda_hat
+    assert same_float(
+        crc_lambda(losses, 1.0, alpha, EVERYWHERE), q_hat(cal, alpha).lambda_hat
+    )
+    assert same_float(
+        ucb_lambda(losses, alpha, delta), p_hat(cal, alpha, delta).lambda_hat
+    )
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
