@@ -317,10 +317,7 @@ def _write_artifacts(out: Path, payload, reports, summary) -> None:
     with open(out / "ecdf.csv", "w") as fh:
         fh.write("coverage,empirical_cdf,betabin_cdf,beta_cdf\n")
         t = summary.theoretical
-        R = len(reports)
-        counts = np.rint([r.coverage * r.n_test for r in reports]).astype(int)
-        ecdf = np.cumsum(np.bincount(counts, minlength=t.coverage.size)) / R
-        for cov, e, bb, b in zip(t.coverage, ecdf, t.betabin_cdf, t.beta_cdf):
+        for cov, e, bb, b in zip(t.coverage, summary.ecdf, t.betabin_cdf, t.beta_cdf):
             fh.write(f"{float(cov)!r},{float(e)!r},{float(bb)!r},{float(b)!r}\n")
 
 

@@ -27,7 +27,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import betainc
@@ -59,7 +58,6 @@ __all__ = [
     "ParseError",
     "gen_synthetic",
     "load_csv",
-    "save_csv",
     "standardize",
     "reference_law",
     "run_trials",
@@ -147,7 +145,8 @@ class ExperimentSummary:
     sup-norm gap between the empirical law of C_j and the reference;
     dominance_gap is the signed one-sided part max(ecdf - reference),
     small whenever the realized coverage stochastically dominates the
-    reference the way the theory says it should.
+    reference the way the theory says it should.  ecdf is that empirical
+    law, sampled on the atoms of ``theoretical.coverage``.
     """
 
     c_bar: float
@@ -158,6 +157,7 @@ class ExperimentSummary:
     theoretical: TheoreticalLaw
     ks_distance: float
     dominance_gap: float
+    ecdf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -255,16 +255,6 @@ def load_csv(path, label_column: str) -> Dataset:
     return Dataset(np.asarray(feats), np.asarray(labels))
 
 
-def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write a dataset as CSV (features first, label column last)."""
-    p = dataset.features.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(p)] + [label_column])
-        for row, y in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
-
-
 def standardize(train_part: Dataset, rest: Dataset):
     """Standardize features and rescale labels, statistics from train only.
 
@@ -315,19 +305,17 @@ def reference_law(n: int, target) -> BetaParams:
     return law
 
 
-def _trial_rows(lo, hi, labels, n, n_test, target, master_seed, indices):
+def _trial_rows(scores, widths, n, n_test, target, master_seed, indices):
     rows = []
     for j in indices:
         seq = np.random.SeedSequence(master_seed, spawn_key=(int(j),))
         rng = np.random.default_rng(seq)
-        perm = rng.permutation(labels.size)
+        perm = rng.permutation(scores.size)
         cal = perm[:n]
         test = perm[n : n + n_test]
-        cal_scores = np.maximum(lo[cal] - labels[cal], labels[cal] - hi[cal])
-        lam = calibrate(NonconformityScores(cal_scores), target).lambda_hat
-        test_scores = np.maximum(lo[test] - labels[test], labels[test] - hi[test])
-        coverage = float(np.mean(test_scores <= lam))
-        lengths = np.maximum(0.0, (hi[test] - lo[test]) + 2.0 * lam)
+        lam = calibrate(NonconformityScores(scores[cal]), target).lambda_hat
+        coverage = float(np.mean(scores[test] <= lam))
+        lengths = np.maximum(0.0, widths[test] + 2.0 * lam)
         rows.append((int(j), float(lam), coverage, float(np.mean(lengths))))
     return rows
 
@@ -351,10 +339,11 @@ def run_trials(
 ) -> list[TrialReport]:
     """Repeated random calibration/test splits of a held-out pool.
 
-    The base predictor is evaluated on the pool once; each trial then
-    permutes the pool with its own seed stream (derived from the master
-    seed and the trial index), calibrates on the first n points and
-    evaluates coverage and mean interval length on the next n_test.
+    The base predictor is evaluated on the pool once, and the pool's
+    scores and interval widths with it; each trial then permutes the pool
+    with its own seed stream (derived from the master seed and the trial
+    index), calibrates on the first n scores and evaluates coverage and
+    mean interval length on the next n_test.
 
     Parameters
     ----------
@@ -393,7 +382,8 @@ def run_trials(
     lo, hi = base.predict(pool.features)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    args = (lo, hi, pool.labels, n, n_test, target)
+    y = pool.labels
+    args = (np.maximum(lo - y, y - hi), hi - lo, n, n_test, target)
 
     workers = min(workers or 1, R, _usable_cpus())
     if workers <= 1:
@@ -478,6 +468,7 @@ def summarize(
         ),
         ks_distance=ks,
         dominance_gap=dominance,
+        ecdf=ecdf,
     )
 
 

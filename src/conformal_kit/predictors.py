@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._rational import on_grid
 from .calibration import Marginal, NonconformityScores, calibrate
@@ -123,6 +122,19 @@ def _order_index(level: float, k: int) -> int:
     return max(1, math.ceil(on_grid(level, k) * k)) - 1
 
 
+def _neighbour_labels(features: np.ndarray, labels: np.ndarray, k: int):
+    """rows -> labels of their k nearest feature rows, sorted along each row."""
+    from scipy.spatial import cKDTree  # only the k-NN predictor needs it
+
+    tree = cKDTree(features)
+
+    def query(rows: np.ndarray) -> np.ndarray:
+        _, idx = tree.query(rows, k=k)
+        return np.sort(labels[np.reshape(idx, (rows.shape[0], k))], axis=1)
+
+    return query
+
+
 def fit_knn_quantile(train, config: KnnQuantileConfig) -> IntervalPredictor:
     """Conditional-quantile intervals from the k nearest training labels.
 
@@ -145,17 +157,14 @@ def fit_knn_quantile(train, config: KnnQuantileConfig) -> IntervalPredictor:
         raise ValueError(
             f"k={config.k} exceeds training size {labels.size}"
         )
-    tree = cKDTree(features)
+    neighbours = _neighbour_labels(features, labels, config.k)
     i_lo = _order_index(config.lo_level, config.k)
     i_hi = _order_index(config.hi_level, config.k)
 
     def predict(x: np.ndarray):
         pts = np.asarray(x, dtype=float)
         single = pts.ndim == 1
-        rows = np.atleast_2d(pts)
-        _, idx = tree.query(rows, k=config.k)
-        idx = np.asarray(idx).reshape(rows.shape[0], config.k)
-        neigh = np.sort(labels[idx], axis=1)
+        neigh = neighbours(np.atleast_2d(pts))
         lo = neigh[:, i_lo]
         hi = neigh[:, i_hi]
         if single:
@@ -227,7 +236,8 @@ def tune_nominal_quantiles(
     requested guarantee, and record the mean length of the calibrated
     intervals over that part (empty intervals count 0, a full-set
     calibration counts +inf).  The candidate with the smallest fold-mean
-    wins.
+    wins.  Neighbour sets do not depend on the levels, so each fold
+    queries its held-out part once and serves every candidate from it.
 
     Parameters
     ----------
@@ -260,20 +270,22 @@ def tune_nominal_quantiles(
         raise ValueError(
             f"folds too large: fitting parts have fewer than k={k} points"
         )
-    train_cls = type(train)
-
-    means = []
+    # Each candidate's two order statistics, every pair checked up front.
+    orders = []
     for lo_level, hi_level in candidates:
         cfg = KnnQuantileConfig(k=k, lo_level=lo_level, hi_level=hi_level)
+        orders.append((_order_index(cfg.lo_level, k), _order_index(cfg.hi_level, k)))
+    held_out = []
+    for held in parts:
+        fit_x, fit_y = np.delete(features, held, axis=0), np.delete(labels, held)
+        neigh = _neighbour_labels(fit_x, fit_y, k)(features[held])
+        held_out.append((neigh, labels[held]))
+    means = []
+    for i_lo, i_hi in orders:
         fold_lengths = []
-        for held in parts:
-            mask = np.ones(n, dtype=bool)
-            mask[held] = False
-            pred = fit_knn_quantile(
-                train_cls(features[mask], labels[mask]), cfg
-            )
-            lo, hi = pred.predict(features[held])
-            scores = np.maximum(lo - labels[held], labels[held] - hi)
+        for neigh, y in held_out:
+            lo, hi = neigh[:, i_lo], neigh[:, i_hi]
+            scores = np.maximum(lo - y, y - hi)
             result = calibrate(NonconformityScores(scores), target)
             lengths = np.maximum(0.0, (hi - lo) + 2.0 * result.lambda_hat)
             fold_lengths.append(float(np.mean(lengths)))

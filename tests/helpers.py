@@ -7,8 +7,13 @@ numerical claim is checked through two unrelated routes.  The two
 ``*_bisect`` searches are the exception: they replay ``binom_sup_k`` and
 ``binom_inf_p`` with every probe evaluated by the package's own
 ``binom_cdf``, the reference the bracketed searches must match bit for bit.
+Likewise the two harness loops at the end replay ``tune_nominal_quantiles``
+with one fitted predictor per (candidate, fold) and ``run_trials`` with the
+scores recomputed in every trial: the references for the shared-work
+versions.
 """
 
+import csv
 import math
 from fractions import Fraction
 from math import comb
@@ -16,7 +21,10 @@ from math import comb
 import mpmath
 import numpy as np
 
+from conformal_kit.calibration import NonconformityScores, calibrate
 from conformal_kit.dists import SupKResult, binom_cdf
+from conformal_kit.experiments import Dataset, TrialReport
+from conformal_kit.predictors import KnnQuantileConfig, fit_knn_quantile
 
 
 def binom_cdf_mp(k: int, n: int, p, dps: int = 40) -> mpmath.mpf:
@@ -167,3 +175,71 @@ def binom_inf_p_bisect(k: int, n: int, delta: float) -> float:
 def sort_scores(values) -> np.ndarray:
     """Naive full-sort order-statistic oracle."""
     return np.sort(np.asarray(values, dtype=float))
+
+
+def save_csv(dataset, path, label_column: str = "label") -> None:
+    """Write a dataset as CSV (features first, label column last)."""
+    p = dataset.features.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(p)] + [label_column])
+        for row, y in zip(dataset.features, dataset.labels):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
+
+
+def tune_per_fit(train, candidates, target, folds: int, k: int, seed: int):
+    """(mean_lengths, selected) of the tuner, one k-NN fit per candidate and fold."""
+    features, labels = train.features, train.labels
+    n = labels.size
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    parts = np.array_split(rng.permutation(n), folds)
+    means = []
+    for lo_level, hi_level in candidates:
+        cfg = KnnQuantileConfig(k=k, lo_level=lo_level, hi_level=hi_level)
+        fold_lengths = []
+        for held in parts:
+            mask = np.ones(n, dtype=bool)
+            mask[held] = False
+            pred = fit_knn_quantile(Dataset(features[mask], labels[mask]), cfg)
+            lo, hi = pred.predict(features[held])
+            scores = np.maximum(lo - labels[held], labels[held] - hi)
+            result = calibrate(NonconformityScores(scores), target)
+            lengths = np.maximum(0.0, (hi - lo) + 2.0 * result.lambda_hat)
+            fold_lengths.append(float(np.mean(lengths)))
+        means.append(sum(fold_lengths) / folds)
+    means = np.asarray(means)
+    return means, tuple(candidates[int(np.argmin(means))])
+
+
+def trials_per_gather(base, pool, n, n_test, R, target, master_seed):
+    """The trial reports, gathering lo, hi and labels anew in every trial."""
+    lo, hi = base.predict(pool.features)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    labels = pool.labels
+    reports = []
+    for j in range(R):
+        seq = np.random.SeedSequence(master_seed, spawn_key=(j,))
+        perm = np.random.default_rng(seq).permutation(labels.size)
+        cal = perm[:n]
+        test = perm[n : n + n_test]
+        cal_scores = np.maximum(lo[cal] - labels[cal], labels[cal] - hi[cal])
+        lam = calibrate(NonconformityScores(cal_scores), target).lambda_hat
+        test_scores = np.maximum(lo[test] - labels[test], labels[test] - hi[test])
+        lengths = np.maximum(0.0, (hi[test] - lo[test]) + 2.0 * lam)
+        reports.append(
+            TrialReport(
+                trial_index=j,
+                lambda_hat=float(lam),
+                coverage=float(np.mean(test_scores <= lam)),
+                avg_length=float(np.mean(lengths)),
+                n=n,
+                n_test=n_test,
+            )
+        )
+    return reports
+
+
+def float_bits(values) -> bytes:
+    """The IEEE bytes of a sequence of floats, for bitwise comparison."""
+    return np.asarray(values, dtype=float).tobytes()

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformal_kit.calibration import (
     DualAlpha,
@@ -184,6 +186,80 @@ def test_duality_round_trips():
         eps_min = tolerance_eps_given_alpha(n, alpha, delta)
         if 0.0 < eps_min < 1.0:
             assert tolerance_delta_given_alpha(n, alpha, eps_min) <= delta
+
+
+@st.composite
+def grid_levels(draw, n):
+    """A level j/(n + 1), j in 1..n, or one ulp to either side of it."""
+    base = draw(st.integers(1, n)) / (n + 1)
+    return draw(
+        st.sampled_from([math.nextafter(base, 0.0), base, math.nextafter(base, 1.0)])
+    )
+
+
+def near(level: Fraction) -> list:
+    """The exact level and the floats at and one ulp either side of it."""
+    x = float(level)
+    return [level, math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+
+
+sizes = st.integers(1, 2000)
+free_levels = st.floats(1e-3, 0.999)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_alpha_given_tolerance_round_trip_property(data):
+    # every level in the dual interval [j, j + 1)/(n + 1) selects the
+    # tolerance rank; the right end already selects the next one down
+    n = data.draw(sizes)
+    eps = data.draw(st.one_of(grid_levels(n), free_levels))
+    delta = data.draw(st.one_of(grid_levels(n), free_levels))
+    dual = alpha_given_tolerance(n, eps, delta)
+    rank = plan(n, Tolerance(eps, delta)).order_index
+    j = dual.alpha * (n + 1)
+    assert j.denominator == 1
+    if dual.full_set:
+        assert rank == n + 1 and plan(n, Marginal(dual.alpha / 2)).full_set
+        return
+    for alpha in near(dual.alpha):
+        assert plan(n, Marginal(alpha)).order_index == rank, alpha
+    if j + 1 <= n:
+        for alpha in near(Fraction(j + 1, n + 1)):
+            assert plan(n, Marginal(alpha)).order_index == rank - 1, alpha
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_delta_given_alpha_round_trip_property(data):
+    # the smallest delta admits the marginal rank; one ulp less does not
+    n = data.draw(sizes)
+    alpha = data.draw(grid_levels(n))
+    eps = data.draw(st.one_of(grid_levels(n), free_levels))
+    d = tolerance_delta_given_alpha(n, alpha, eps)
+    rank = plan(n, Marginal(alpha)).order_index
+    if 0.0 < d < 1.0:
+        assert plan(n, Tolerance(eps, d)).order_index <= rank
+    below = math.nextafter(d, 0.0)
+    if 0.0 < below < 1.0:
+        assert plan(n, Tolerance(eps, below)).order_index > rank
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_eps_given_alpha_round_trip_property(data):
+    # the smallest eps admits the marginal rank; one ulp less does not
+    n = data.draw(sizes)
+    alpha = data.draw(grid_levels(n))
+    delta = data.draw(st.one_of(grid_levels(n), free_levels))
+    e = tolerance_eps_given_alpha(n, alpha, delta)
+    rank = plan(n, Marginal(alpha)).order_index
+    if 0.0 < e < 1.0:
+        assert plan(n, Tolerance(e, delta)).order_index <= rank
+        assert tolerance_delta_given_alpha(n, alpha, e) <= delta
+    below = math.nextafter(e, 0.0)
+    if 0.0 < below < 1.0:
+        assert plan(n, Tolerance(below, delta)).order_index > rank
 
 
 def test_alpha_given_tolerance_reference():

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from conformal_kit import cli
-from conformal_kit.experiments import gen_synthetic, save_csv
+from conformal_kit.experiments import gen_synthetic
 from conformal_kit.verify import SuiteResult
+
+from helpers import save_csv
 
 
 def run(capsys, *argv):
@@ -178,6 +180,24 @@ def test_tables_custom_sizes(capsys):
     assert code == 0
     assert "n = 50" in out
     assert "n = 100000" not in out
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # only the k-NN predictor needs scipy.spatial; calibrate and tables
+    # should not pay for importing it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, conformal_kit.cli; print('scipy.spatial' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_closed_stdout_exits_quietly():

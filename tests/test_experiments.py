@@ -24,7 +24,6 @@ from conformal_kit.experiments import (
     load_csv,
     reference_law,
     run_trials,
-    save_csv,
     standardize,
     summarize,
     tolerance_tables,
@@ -36,7 +35,7 @@ from conformal_kit.predictors import (
     tune_nominal_quantiles,
 )
 
-from helpers import betabin_cdf_exact
+from helpers import betabin_cdf_exact, float_bits, save_csv, trials_per_gather
 
 
 def test_dataset_shapes():
@@ -183,6 +182,40 @@ def test_run_trials_deterministic_across_workers():
     assert [r.trial_index for r in serial] == list(range(8))
     again = run_trials(base, **kw)
     assert serial == again
+
+
+def _tied_pool(count: int, seed: int) -> Dataset:
+    # every feature row four times, small integer labels: ties in the
+    # neighbour distances, the labels and the scores
+    rng = np.random.default_rng(seed)
+    x = np.repeat(rng.uniform(1.0, 5.0, count // 4), 4)
+    return Dataset(x, rng.integers(0, 4, x.size).astype(float))
+
+
+def _report_bits(reports):
+    ints = [(r.trial_index, r.n, r.n_test) for r in reports]
+    floats = [(r.lambda_hat, r.coverage, r.avg_length) for r in reports]
+    return ints, float_bits(floats)
+
+
+@pytest.mark.parametrize(
+    "case", ["marginal", "tolerance", "full_set", "ties", "two_workers"]
+)
+def test_run_trials_matches_per_trial_oracle(case):
+    pool = _tied_pool(400, 231) if case == "ties" else gen_synthetic(400, seed=232)
+    train = _tied_pool(160, 233) if case == "ties" else gen_synthetic(160, seed=234)
+    base = fit_knn_quantile(train, KnnQuantileConfig(k=15, lo_level=0.1, hi_level=0.9))
+    target = {
+        "tolerance": Tolerance(0.2, 0.1),
+        # (0.99)^60 > 0.01: no finite threshold qualifies
+        "full_set": Tolerance(0.01, 0.01),
+    }.get(case, Marginal(0.1))
+    kw = dict(pool=pool, n=60, n_test=300, R=12, target=target, master_seed=235)
+    got = run_trials(base, **kw, workers=2 if case == "two_workers" else None)
+    want = trials_per_gather(base, **kw)
+    assert _report_bits(got) == _report_bits(want)
+    if case == "full_set":
+        assert all(math.isinf(r.avg_length) for r in got)
 
 
 def test_run_trials_caps_processes(monkeypatch):

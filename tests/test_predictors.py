@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from conformal_kit.calibration import Marginal, Tolerance
 from conformal_kit.experiments import Dataset, gen_synthetic
@@ -17,6 +18,8 @@ from conformal_kit.predictors import (
     fit_knn_quantile,
     tune_nominal_quantiles,
 )
+
+from helpers import float_bits, tune_per_fit
 
 
 def test_config_validation():
@@ -163,3 +166,53 @@ def test_tune_validation():
         tune_nominal_quantiles(train, ((0.05, 0.95),), folds=1, k=5)
     with pytest.raises(ValueError):
         tune_nominal_quantiles(train, ((0.05, 0.95),), folds=2, k=40)
+
+
+def _tuner_case(name: str):
+    """(train, target, folds, k) for one oracle comparison."""
+    rng = np.random.default_rng(241)
+    synth = gen_synthetic(103, seed=242)
+    if name == "ties":
+        # every feature row four times: tied neighbour distances
+        x = np.repeat(rng.uniform(size=30), 4)
+        ds = Dataset(x, rng.integers(0, 5, x.size).astype(float))
+        return ds, Marginal(0.1), 10, 8
+    if name == "two_columns":
+        ds = Dataset(rng.standard_normal((90, 2)), rng.standard_normal(90))
+        return ds, Marginal(0.2), 5, 7
+    if name == "k1":
+        return synth, Marginal(0.1), 5, 1
+    if name == "k_max":
+        # folds of 21, 21, 21, 20, 20 rows: the smallest fitting part has 82
+        return synth, Marginal(0.1), 5, 82
+    # (0.99)^10 > 0.01 on every held-out fold: full set, infinite lengths
+    return synth, Tolerance(0.01, 0.01), 10, 10
+
+
+@pytest.mark.parametrize("name", ["ties", "two_columns", "k1", "k_max", "full_set"])
+def test_tune_matches_per_fit_oracle(name):
+    train, target, folds, k = _tuner_case(name)
+    got = tune_nominal_quantiles(
+        train, DEFAULT_LEVEL_GRID, target, folds=folds, k=k, seed=243
+    )
+    means, selected = tune_per_fit(
+        train, DEFAULT_LEVEL_GRID, target, folds=folds, k=k, seed=243
+    )
+    assert float_bits(got.mean_lengths) == float_bits(means)
+    assert got.selected == selected
+    if name == "full_set":
+        assert np.all(np.isinf(got.mean_lengths))
+
+
+def test_tune_builds_one_tree_per_fold(monkeypatch):
+    built = []
+    real = scipy.spatial.cKDTree
+
+    def counting_tree(data):
+        built.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
+    train = gen_synthetic(120, seed=244)
+    tune_nominal_quantiles(train, DEFAULT_LEVEL_GRID, folds=6, k=10)
+    assert built == [100] * 6
