@@ -8,12 +8,9 @@ loss they all reduce to an order statistic of the scores, so the printed
 thresholds agree to the bit (ltt up to its grid resolution).
 """
 
-import math
-
 import numpy as np
 
 from conformal_kit import (
-    LambdaDomain,
     Losses,
     NonconformityScores,
     crc_lambda,
@@ -24,8 +21,6 @@ from conformal_kit import (
     ucb_lambda,
 )
 
-EVERYWHERE = LambdaDomain(-math.inf, math.inf)
-
 
 def main():
     rng = np.random.default_rng(12)
@@ -35,14 +30,14 @@ def main():
 
     print(f"marginal level alpha = {alpha}")
     print(f"  quantile rule  {q_hat(scores, alpha).lambda_hat:+.6f}")
-    print(f"  crc            {crc_lambda(losses, 1.0, alpha, EVERYWHERE):+.6f}")
+    print(f"  crc            {crc_lambda(losses, 1.0, alpha):+.6f}")
 
     print(f"\ntolerance pair eps = {eps}, delta = {delta}")
     lam_p = p_hat(scores, eps, delta).lambda_hat
-    lam_u = ucb_lambda(losses, eps, delta, domain=EVERYWHERE)
+    lam_u = ucb_lambda(losses, eps, delta)
     print(f"  rank rule      {lam_p:+.6f}")
     print(f"  exact ucb      {lam_u:+.6f}")
-    lam_h = ucb_lambda(losses, eps, delta, method="hoeffding", domain=EVERYWHERE)
+    lam_h = ucb_lambda(losses, eps, delta, method="hoeffding")
     print(f"  hoeffding ucb  {lam_h:+.6f}  (looser bound, larger threshold)")
 
     grid = np.linspace(scores.values[0] - 0.5, scores.values[-1] + 0.5, 10_000)

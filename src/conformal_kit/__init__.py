@@ -10,150 +10,18 @@ machinery lives in ``dists``, the duality between the guarantees in
 runtime self-checks in ``verify``.
 """
 
-from .calibration import (
-    AlphaFromTolerance,
-    CalibrationPlan,
-    CalibrationResult,
-    DualAlpha,
-    DualTolerance,
-    Marginal,
-    MarginalBounds,
-    NonconformityScores,
-    Tolerance,
-    alpha_given_tolerance,
-    calibrate,
-    marginal_bounds,
-    p_hat,
-    plan,
-    q_hat,
-    tolerance_delta_given_alpha,
-    tolerance_eps_given_alpha,
-    wilks_interval_law,
-    wilks_is_tolerance,
-)
-from .dists import (
-    BetaBinParams,
-    BetaParams,
-    SupKResult,
-    beta_reg,
-    betabin_cdf,
-    betabin_pmf,
-    betabin_quantile,
-    binom_cdf,
-    binom_inf_p,
-    binom_sup_k,
-)
-from .experiments import (
-    DEFAULT_SEED,
-    Dataset,
-    ExperimentSummary,
-    Histogram,
-    ParseError,
-    StandardizeStats,
-    TheoreticalLaw,
-    TrialReport,
-    gen_synthetic,
-    load_csv,
-    reference_law,
-    run_trials,
-    standardize,
-    summarize,
-    tolerance_tables,
-)
-from .nested import LambdaDomain, NestedFamily, Score, member, score_of
-from .predictors import (
-    DEFAULT_LEVEL_GRID,
-    IntervalPredictor,
-    KnnQuantileConfig,
-    PredictionInterval,
-    TuneReport,
-    cqr_score,
-    cqr_set,
-    fit_knn_quantile,
-    tune_nominal_quantiles,
-)
-from .risk import (
-    Losses,
-    PValueGrid,
-    crc_lambda,
-    ltt_bonferroni,
-    ltt_fixed_sequence,
-    ltt_pvalues,
-    ucb_hoeffding,
-    ucb_lambda,
-)
-from .verify import SUITE_NAMES, SuiteResult, run_suites
+from . import calibration, dists, experiments, predictors, risk, verify
+from .calibration import *  # noqa: F403
+from .dists import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .predictors import *  # noqa: F403
+from .risk import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaFromTolerance",
-    "BetaBinParams",
-    "BetaParams",
-    "CalibrationPlan",
-    "CalibrationResult",
-    "DEFAULT_LEVEL_GRID",
-    "DEFAULT_SEED",
-    "Dataset",
-    "DualAlpha",
-    "DualTolerance",
-    "ExperimentSummary",
-    "Histogram",
-    "IntervalPredictor",
-    "KnnQuantileConfig",
-    "LambdaDomain",
-    "Losses",
-    "Marginal",
-    "MarginalBounds",
-    "NestedFamily",
-    "NonconformityScores",
-    "PValueGrid",
-    "ParseError",
-    "PredictionInterval",
-    "SUITE_NAMES",
-    "Score",
-    "StandardizeStats",
-    "SuiteResult",
-    "SupKResult",
-    "TheoreticalLaw",
-    "Tolerance",
-    "TrialReport",
-    "TuneReport",
-    "alpha_given_tolerance",
-    "beta_reg",
-    "betabin_cdf",
-    "betabin_pmf",
-    "betabin_quantile",
-    "binom_cdf",
-    "binom_inf_p",
-    "binom_sup_k",
-    "calibrate",
-    "cqr_score",
-    "cqr_set",
-    "crc_lambda",
-    "fit_knn_quantile",
-    "gen_synthetic",
-    "load_csv",
-    "ltt_bonferroni",
-    "ltt_fixed_sequence",
-    "ltt_pvalues",
-    "marginal_bounds",
-    "member",
-    "p_hat",
-    "plan",
-    "q_hat",
-    "reference_law",
-    "run_suites",
-    "run_trials",
-    "score_of",
-    "standardize",
-    "summarize",
-    "tolerance_delta_given_alpha",
-    "tolerance_eps_given_alpha",
-    "tolerance_tables",
-    "tune_nominal_quantiles",
-    "ucb_hoeffding",
-    "ucb_lambda",
-    "wilks_interval_law",
-    "wilks_is_tolerance",
+    name
+    for module in (calibration, dists, experiments, predictors, risk, verify)
+    for name in module.__all__
 ]

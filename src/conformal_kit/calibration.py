@@ -8,7 +8,8 @@ probability 1 - delta over the calibration draw, the resulting set covers
 at least 1 - eps of future points.  The two are linked by an exact duality:
 every tolerance pair (eps, delta) maps to the marginal level alpha =
 (k* + 1)/(n + 1), and both calibrators then select the same order
-statistic.
+statistic.  That tolerance rank is Wilks' one-sided tolerance limit, and
+``plan(n, t).law`` is its Beta coverage law.
 
 Index arithmetic runs on exact rationals.  The guarantees hinge on
 half-open level intervals of width 1/(n + 1), and a float alpha sitting one
@@ -33,7 +34,6 @@ from .dists import (
     binom_cdf,
     binom_inf_p,
     binom_sup_k,
-    beta_reg,
 )
 
 __all__ = [
@@ -54,8 +54,6 @@ __all__ = [
     "tolerance_eps_given_alpha",
     "alpha_given_tolerance",
     "marginal_bounds",
-    "wilks_interval_law",
-    "wilks_is_tolerance",
 ]
 
 
@@ -418,38 +416,3 @@ def calibrate(scores: NonconformityScores, target) -> CalibrationResult:
     """Calibrate at a Marginal or Tolerance target, as q_hat or p_hat would."""
     return _calibrated(scores, plan(scores.n, target))
 
-
-def wilks_interval_law(n, r: int, s: int) -> BetaParams:
-    """Coverage law of the order-statistic interval [Y_(r), Y_(s)].
-
-    For an iid continuous sample of size n and 0 <= r < s <= n + 1 (with
-    the sentinel conventions Y_(0) = -inf, Y_(n+1) = +inf, and not both
-    ends sentinels), the population mass captured by the interval is
-    Beta(s - r, n - s + r + 1) distributed.
-
-    Examples
-    --------
-    >>> wilks_interval_law(9, 0, 9)
-    BetaParams(a=9, b=1)
-    """
-    n = _check_trials("n", n)
-    if not (0 <= r < s <= n + 1):
-        raise ValueError(f"need 0 <= r < s <= n + 1, got r={r}, s={s}")
-    if r == 0 and s == n + 1:
-        raise ValueError("interval spans both sentinels; coverage is trivially 1")
-    return BetaParams(s - r, n - s + r + 1)
-
-
-def wilks_is_tolerance(n, r: int, s: int, eps: float, delta: float) -> bool:
-    """Whether [Y_(r), Y_(s)] is an (eps, delta) tolerance interval.
-
-    Evaluates Beta(1 - eps; s - r, n - s + r + 1) <= delta.
-
-    Examples
-    --------
-    >>> wilks_is_tolerance(1000, 0, 1000, 0.1, 0.1)
-    True
-    """
-    eps = _check_prob("eps", eps, open_interval=True)
-    delta = _check_prob("delta", delta, open_interval=True)
-    return beta_reg(1.0 - eps, wilks_interval_law(n, r, s)) <= delta

@@ -53,12 +53,9 @@ from .experiments import (
     summarize,
     tolerance_tables,
 )
-from .nested import LambdaDomain
 from .predictors import KnnQuantileConfig, fit_knn_quantile, tune_nominal_quantiles
 from .risk import Losses, crc_lambda, ltt_fixed_sequence, ltt_pvalues, ucb_lambda
 from .verify import SUITE_NAMES, run_suites
-
-_EVERYWHERE = LambdaDomain(-math.inf, math.inf)
 
 
 def _json_default(obj):
@@ -159,7 +156,7 @@ def cmd_calibrate(args) -> int:
             res = q_hat(scores, args.alpha, eps=args.eps, delta=args.delta)
             lam = res.lambda_hat
             if method == "crc":
-                lam = crc_lambda(losses, 1.0, args.alpha, _EVERYWHERE)
+                lam = crc_lambda(losses, 1.0, args.alpha)
         elif have_tol:
             if method == "crc":
                 raise ValueError("--method crc requires --alpha (0-1 loss risk)")
@@ -233,7 +230,7 @@ def _experiment_data(args, seed: int):
     perm = np.random.default_rng(train_seq).permutation(total)
     train = Dataset(ds.features[perm[:n_train]], ds.labels[perm[:n_train]])
     rest = Dataset(ds.features[perm[n_train:]], ds.labels[perm[n_train:]])
-    train, rest, _ = standardize(train, rest)
+    train, rest = standardize(train, rest)
     return train, rest, n, n_test, str(args.data)
 
 

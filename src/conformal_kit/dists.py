@@ -45,7 +45,6 @@ __all__ = [
     "binom_inf_p",
     "beta_reg",
     "betabin_pmf",
-    "betabin_cdf",
     "betabin_quantile",
 ]
 
@@ -409,27 +408,8 @@ def betabin_pmf(params: BetaBinParams) -> np.ndarray:
     return (terms / terms.sum()).astype(np.float64)
 
 
-def betabin_cdf(k, params: BetaBinParams) -> float:
-    """Beta-binomial CDF: mass of {0..k} under the compound law.
-
-    Examples
-    --------
-    >>> betabin_cdf(10, BetaBinParams(10, 2.0, 3.0))
-    1.0
-    >>> betabin_cdf(-1, BetaBinParams(10, 2.0, 3.0))
-    0.0
-    """
-    k = math.floor(k)
-    if k < 0:
-        return 0.0
-    if k >= params.trials:
-        return 1.0
-    cum = np.cumsum(_betabin_terms(params))
-    return float(cum[k] / cum[-1])
-
-
 def betabin_quantile(q: float, params: BetaBinParams) -> int:
-    """Largest k with betabin_cdf(k) <= q (lower quantile convention).
+    """Largest k whose beta-binomial CDF is <= q (lower quantile convention).
 
     Returns -1 in the degenerate case where already the mass at zero
     exceeds q.

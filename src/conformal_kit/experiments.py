@@ -54,7 +54,6 @@ __all__ = [
     "Histogram",
     "TheoreticalLaw",
     "ExperimentSummary",
-    "StandardizeStats",
     "ParseError",
     "gen_synthetic",
     "load_csv",
@@ -160,21 +159,6 @@ class ExperimentSummary:
     ecdf: np.ndarray
 
 
-@dataclass(frozen=True)
-class StandardizeStats:
-    """Transform fitted on the proper training split.
-
-    Constant feature columns are centred but not scaled (scale 1) and
-    flagged; a zero mean-absolute label keeps scale 1 likewise.
-    """
-
-    feature_mean: np.ndarray
-    feature_scale: np.ndarray
-    constant_columns: np.ndarray
-    label_scale: float
-    label_degenerate: bool
-
-
 def gen_synthetic(
     count: int,
     seed: int,
@@ -265,30 +249,21 @@ def standardize(train_part: Dataset, rest: Dataset):
 
     Returns
     -------
-    (Dataset, Dataset, StandardizeStats)
+    (Dataset, Dataset)
     """
     if train_part.features.shape[1] != rest.features.shape[1]:
         raise ValueError("train and rest have different feature counts")
     mean = train_part.features.mean(axis=0)
     sd = train_part.features.std(axis=0)
-    constant = sd == 0.0
-    scale = np.where(constant, 1.0, sd)
+    scale = np.where(sd == 0.0, 1.0, sd)
     label_scale = float(np.mean(np.abs(train_part.labels)))
-    degenerate = label_scale == 0.0
-    if degenerate:
+    if label_scale == 0.0:
         label_scale = 1.0
 
     def apply(ds: Dataset) -> Dataset:
         return Dataset((ds.features - mean) / scale, ds.labels / label_scale)
 
-    stats = StandardizeStats(
-        feature_mean=mean,
-        feature_scale=scale,
-        constant_columns=constant,
-        label_scale=label_scale,
-        label_degenerate=degenerate,
-    )
-    return apply(train_part), apply(rest), stats
+    return apply(train_part), apply(rest)
 
 
 def reference_law(n: int, target) -> BetaParams:

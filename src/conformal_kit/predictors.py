@@ -6,8 +6,8 @@ nearest neighbours in feature space (Euclidean metric; standardize the
 features first).  On top of any interval predictor sit the signed
 conformalization score max(lo - y, y - hi) and the symmetric expansion
 [lo - lam, hi + lam], which together form a nested family over the whole
-real line: the set at lam contains y exactly when the score is at most
-lam, and for lam below -(hi - lo)/2 the set is empty.
+real line: in real arithmetic the set at lam contains y exactly when the
+score is at most lam, and for lam below -(hi - lo)/2 the set is empty.
 
 Nominal quantile levels of the base predictor are a free knob that changes
 interval lengths but never validity; ``tune_nominal_quantiles`` picks them
@@ -199,8 +199,9 @@ def cqr_set(predictor: IntervalPredictor, lam: float, x) -> PredictionInterval:
     """Symmetric expansion [lo(x) - lam, hi(x) + lam] of the base interval.
 
     lam = +inf gives the whole line; lam below -(hi - lo)/2 gives the
-    (explicitly represented) empty interval.  Membership is equivalent to
-    cqr_score(x, y) <= lam.
+    (explicitly represented) empty interval.  In real arithmetic membership
+    is equivalent to cqr_score(x, y) <= lam; in floats the two can disagree
+    when y lies within one rounding of an endpoint.
 
     Examples
     --------

@@ -4,9 +4,9 @@ Three calibrators generalize the split conformal ones from miscoverage to
 arbitrary non-increasing losses bounded by B.  Conformal risk control picks
 the smallest threshold where the inflated empirical risk
 (n R_hat(lam) + B)/(n + 1) stays within alpha.  Upper-confidence-bound
-calibration walks down from the top of the domain while a pointwise upper
-bound on the risk stays within eps; with the exact binomial (Clopper-
-Pearson style) bound and 0-1 loss it reproduces the tolerance calibrator
+calibration walks down from lambda = +inf while a pointwise upper bound
+on the risk stays within eps; with the exact binomial (Clopper-Pearson
+style) bound and 0-1 loss it reproduces the tolerance calibrator
 threshold for threshold.  Learn-then-test recasts the grid search as
 multiple testing with binomial p-values under FWER control.
 
@@ -30,16 +30,13 @@ import numpy as np
 
 from ._rational import as_fraction, on_grid
 from .dists import _check_prob, binom_cdf, binom_inf_p
-from .nested import LambdaDomain
 
 __all__ = [
     "Losses",
     "PValueGrid",
     "crc_lambda",
-    "ucb_hoeffding",
     "ucb_lambda",
     "ltt_pvalues",
-    "ltt_bonferroni",
     "ltt_fixed_sequence",
 ]
 
@@ -137,21 +134,21 @@ class PValueGrid:
         object.__setattr__(self, "pvals", pv)
 
 
-def _first_ok(losses: Losses, domain: LambdaDomain, ok) -> float:
-    """Smallest candidate threshold whose loss sum passes ok, else domain.hi.
+def _first_ok(losses: Losses, ok) -> float:
+    """Smallest candidate threshold whose loss sum passes ok, else +inf.
 
-    The candidates are the domain ends and every breakpoint strictly
-    inside.  ok must fail on a prefix of them and hold on the rest, as any
-    condition monotone in the sum does for non-increasing losses, so
-    binary search locates the boundary exactly.
+    The candidates are -inf, every finite breakpoint and +inf.  ok must
+    fail on a prefix of them and hold on the rest, as any condition
+    monotone in the sum does for non-increasing losses, so binary search
+    locates the boundary exactly.
     """
     lam = losses.lambdas
-    inner = lam[(lam > domain.lo) & (lam < domain.hi)]
+    inner = lam[np.isfinite(lam)]
 
     def cand(k: int) -> float:
         if k == 0:
-            return domain.lo
-        return float(inner[k - 1]) if k <= inner.size else domain.hi
+            return -math.inf
+        return float(inner[k - 1]) if k <= inner.size else math.inf
 
     k = bisect.bisect_left(
         range(inner.size + 2), True, key=lambda k: ok(losses.total(cand(k)))
@@ -159,21 +156,20 @@ def _first_ok(losses: Losses, domain: LambdaDomain, ok) -> float:
     return cand(k)
 
 
-def crc_lambda(losses: Losses, B: float, alpha, domain: LambdaDomain) -> float:
+def crc_lambda(losses: Losses, B: float, alpha) -> float:
     """Conformal risk control: inf{lam : (n R_hat(lam) + B)/(n+1) <= alpha}.
 
     The condition is monotone for non-increasing losses, so the infimum is
     located by binary search over the exact breakpoint candidates; the
     comparison n R_hat + B <= alpha (n + 1) runs in rational arithmetic,
     with a float alpha moved onto the grid j/(n + 1) it rounds from, so
-    grid-boundary levels never misclassify.  Returns the top of the domain
-    when only the minimal achievable risk qualifies there, which for 0-1
-    loss is the full-set sentinel.
+    grid-boundary levels never misclassify.  Returns +inf when no finite
+    threshold qualifies, which for 0-1 loss is the full-set sentinel.
 
     Examples
     --------
     >>> losses = Losses.zero_one(range(1, 10))
-    >>> crc_lambda(losses, 1.0, 0.1, LambdaDomain(-math.inf, math.inf))
+    >>> crc_lambda(losses, 1.0, 0.1)
     9.0
     """
     B = float(B)
@@ -191,18 +187,7 @@ def crc_lambda(losses: Losses, B: float, alpha, domain: LambdaDomain) -> float:
     # sum of losses <= alpha (n + 1) - B, exactly
     n = losses.n
     threshold = on_grid(alpha, n + 1) * (n + 1) - as_fraction(B)
-    return _first_ok(losses, domain, lambda total: Fraction(total) <= threshold)
-
-
-def ucb_hoeffding(r_hat: float, n: int, delta: float, B: float) -> float:
-    """One-sided Hoeffding upper confidence bound r_hat + B sqrt(ln(1/d)/2n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if B <= 0:
-        raise ValueError(f"loss bound must be positive, got B={B}")
-    return r_hat + B * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+    return _first_ok(losses, lambda total: Fraction(total) <= threshold)
 
 
 def _zero_one_count(total: float, n: int) -> int:
@@ -220,7 +205,6 @@ def ucb_lambda(
     eps: float,
     delta: float,
     method: str = "exact-binomial",
-    domain: LambdaDomain = LambdaDomain(-math.inf, math.inf),
 ) -> float:
     """Upper-confidence-bound calibration.
 
@@ -229,7 +213,7 @@ def ucb_lambda(
     risk.  Both shipped bounds are monotone in the empirical risk, so for
     non-increasing losses the condition is a suffix property of the
     breakpoint candidates and binary search locates the boundary exactly.
-    Returns the top of the domain when no threshold qualifies.
+    Returns +inf when no threshold qualifies.
 
     Parameters
     ----------
@@ -243,10 +227,8 @@ def ucb_lambda(
         Bound used for R_hat_plus.  The exact binomial one, the smallest p
         whose lower binomial tail at the observed exceedance count stays
         within delta, requires 0-1 losses and is never looser; the
-        Hoeffding variant works for any bounded loss (B from the loss
-        bound).
-    domain : LambdaDomain
-        Threshold domain.
+        Hoeffding one, R_hat + B sqrt(ln(1/delta)/2n), works for any
+        bounded loss (B from the loss bound).
     """
     n = losses.n
     eps = float(eps)
@@ -258,16 +240,20 @@ def ucb_lambda(
             return binom_inf_p(_zero_one_count(total, n), n, delta) <= eps
 
     elif method == "hoeffding":
-        if losses.bound is None:
+        B = losses.bound
+        if B is None:
             raise ValueError("hoeffding bound needs the loss bound set")
+        if B <= 0:
+            raise ValueError(f"loss bound must be positive, got B={B}")
+        margin = B * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
         def ok(total: float) -> bool:
-            return ucb_hoeffding(total / n, n, delta, losses.bound) <= eps
+            return total / n + margin <= eps
 
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    return _first_ok(losses, domain, ok)
+    return _first_ok(losses, ok)
 
 
 def ltt_pvalues(grid, losses: Losses, eps: float) -> PValueGrid:
@@ -290,22 +276,6 @@ def ltt_pvalues(grid, losses: Losses, eps: float) -> PValueGrid:
     # one CDF per distinct count: a fine grid repeats them
     cdf = {k: binom_cdf(k, n, eps) for k in set(counts)}
     return PValueGrid(lambdas=lam, pvals=np.array([cdf[k] for k in counts]))
-
-
-def ltt_bonferroni(pgrid: PValueGrid, delta: float) -> list[float]:
-    """Thresholds passing the Bonferroni test p_j < delta / N (strict).
-
-    Examples
-    --------
-    >>> g = PValueGrid(np.array([1.0, 2.0]), np.array([0.01, 0.2]))
-    >>> ltt_bonferroni(g, 0.1)
-    [1.0]
-    """
-    delta = _check_prob("delta", delta, open_interval=True)
-    if not pgrid.pvals.size:
-        return []
-    cut = delta / pgrid.pvals.size
-    return [float(l) for l, p in zip(pgrid.lambdas, pgrid.pvals) if p < cut]
 
 
 def ltt_fixed_sequence(pgrid: PValueGrid, delta: float) -> list[float]:

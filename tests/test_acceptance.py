@@ -26,7 +26,6 @@ from conformal_kit.experiments import (
     summarize,
     tolerance_tables,
 )
-from conformal_kit.nested import LambdaDomain
 from conformal_kit.predictors import (
     KnnQuantileConfig,
     fit_knn_quantile,
@@ -39,8 +38,6 @@ from conformal_kit.risk import (
     ltt_pvalues,
     ucb_lambda,
 )
-
-EVERYWHERE = LambdaDomain(-math.inf, math.inf)
 
 # Published reference tables.  Rows: delta = 10%, 5%, 1%, 0.5%, 0.1%;
 # columns: eps (resp. alpha) at the same levels.
@@ -225,13 +222,11 @@ def test_criterion_6_route_equivalence():
         scores = NonconformityScores(vals)
         curves = Losses.zero_one(scores.values)
         alpha = float(rng.uniform(0.01, 0.9))
-        if crc_lambda(curves, 1.0, alpha, EVERYWHERE) != q_hat(scores, alpha).lambda_hat:
+        if crc_lambda(curves, 1.0, alpha) != q_hat(scores, alpha).lambda_hat:
             crc_bad += 1
         eps = float(rng.uniform(0.02, 0.6))
         delta = float(rng.uniform(0.02, 0.6))
-        if ucb_lambda(curves, eps, delta, domain=EVERYWHERE) != p_hat(
-            scores, eps, delta
-        ).lambda_hat:
+        if ucb_lambda(curves, eps, delta) != p_hat(scores, eps, delta).lambda_hat:
             ucb_bad += 1
 
     gap_bad = 0
@@ -242,7 +237,7 @@ def test_criterion_6_route_equivalence():
         curves = Losses.zero_one(vals)
         eps = float(rng.uniform(0.1, 0.5))
         delta = float(rng.uniform(0.1, 0.5))
-        lam_u = ucb_lambda(curves, eps, delta, domain=EVERYWHERE)
+        lam_u = ucb_lambda(curves, eps, delta)
         grid = np.linspace(vals[0] - 0.5, vals[-1] + 0.5, 10_000)
         step = grid[1] - grid[0]
         kept = ltt_fixed_sequence(ltt_pvalues(grid, curves, eps), delta)

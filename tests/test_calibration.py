@@ -23,11 +23,8 @@ from conformal_kit.calibration import (
     q_hat,
     tolerance_delta_given_alpha,
     tolerance_eps_given_alpha,
-    wilks_interval_law,
-    wilks_is_tolerance,
 )
-from conformal_kit.dists import beta_reg, binom_cdf
-from conformal_kit.nested import LambdaDomain
+from conformal_kit.dists import BetaParams, beta_reg, binom_cdf
 from conformal_kit.risk import Losses, crc_lambda
 
 from helpers import sort_scores
@@ -351,8 +348,7 @@ def test_levels_just_below_one_keep_a_rank(k):
     values = np.arange(1.0, 10.0)
     lam = q_hat(NonconformityScores(values), alpha).lambda_hat
     assert lam == 1.0
-    everywhere = LambdaDomain(-math.inf, math.inf)
-    assert crc_lambda(Losses.zero_one(values), 1.0, alpha, everywhere) == lam
+    assert crc_lambda(Losses.zero_one(values), 1.0, alpha) == lam
 
 
 def test_plan_matches_calibrators():
@@ -412,35 +408,31 @@ def test_tolerance_failure_rate_matches_law():
     for _ in range(m):
         lam = p_hat(NonconformityScores(rng.uniform(size=n)), eps, delta).lambda_hat
         fails += lam < 1 - eps
-    want = beta_reg(1 - eps, wilks_interval_law(n, 0, res_idx))
+    want = beta_reg(1 - eps, BetaParams(res_idx, n + 1 - res_idx))
     assert want <= delta
     se = math.sqrt(want * (1 - want) / m)
     assert abs(fails / m - want) < 3.5 * se
 
 
-def test_wilks_interval_law():
-    law = wilks_interval_law(100, 0, 100)
-    assert law.a == 100 and law.b == 1
-    law2 = wilks_interval_law(10, 2, 7)
-    assert law2.a == 5 and law2.b == 6
-    with pytest.raises(ValueError):
-        wilks_interval_law(10, 5, 5)
-    with pytest.raises(ValueError):
-        wilks_interval_law(10, -1, 5)
-    with pytest.raises(ValueError):
-        wilks_interval_law(10, 0, 12)
-    with pytest.raises(ValueError):
-        wilks_interval_law(10, 0, 11)  # both ends at the sentinels
+tolerance_levels = st.one_of(
+    st.integers(1, 50).map(lambda i: i / 100),
+    st.floats(math.log(1e-6), math.log(0.5)).map(math.exp),
+)
 
 
-def test_wilks_is_tolerance_matches_tail_mass():
-    for n, r, s, eps, delta in [
-        (100, 0, 100, 0.05, 0.1),
-        (100, 0, 100, 0.01, 0.5),
-        (50, 1, 49, 0.2, 0.3),
-    ]:
-        got = wilks_is_tolerance(n, r, s, eps, delta)
-        law = wilks_interval_law(n, r, s)
-        assert got == (beta_reg(1 - eps, law) <= delta)
-    # the single-order-statistic rule: (1 - eps)^n <= delta
-    assert wilks_is_tolerance(100, 0, 100, 0.05, 0.1) == (0.95**100 <= 0.1)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 5000), tolerance_levels, tolerance_levels)
+def test_tolerance_rank_is_wilks_limit(n, eps, delta):
+    # the tolerance rank is the smallest order statistic whose Beta
+    # coverage law puts at most delta below 1 - eps (Wilks' criterion)
+    p = plan(n, Tolerance(eps, delta))
+    idx = p.order_index
+    if p.full_set:
+        assert p.law is None
+        assert beta_reg(1 - eps, BetaParams(n, 1)) > delta * (1 - 1e-9)
+        return
+    assert p.law == BetaParams(idx, n + 1 - idx)
+    assert beta_reg(1 - eps, p.law) <= delta * (1 + 1e-9)
+    if idx > 1:
+        below = BetaParams(idx - 1, n + 2 - idx)
+        assert beta_reg(1 - eps, below) > delta * (1 - 1e-9)

@@ -8,14 +8,12 @@ import conformal_kit._rational
 import conformal_kit.calibration
 import conformal_kit.dists
 import conformal_kit.experiments
-import conformal_kit.nested
 import conformal_kit.predictors
 import conformal_kit.risk
 
 MODULES = (
     conformal_kit._rational,
     conformal_kit.dists,
-    conformal_kit.nested,
     conformal_kit.calibration,
     conformal_kit.risk,
     conformal_kit.predictors,

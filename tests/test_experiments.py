@@ -133,11 +133,8 @@ def test_csv_errors(tmp_path):
 def test_standardize_hand_case():
     train = Dataset(np.array([[1.0, 5.0], [3.0, 5.0]]), np.array([2.0, -2.0]))
     rest = Dataset(np.array([[5.0, 7.0]]), np.array([4.0]))
-    tr, rs, stats = standardize(train, rest)
-    assert np.array_equal(stats.feature_mean, [2.0, 5.0])
-    assert np.array_equal(stats.feature_scale, [1.0, 1.0])
-    assert np.array_equal(stats.constant_columns, [False, True])
-    assert stats.label_scale == 2.0 and not stats.label_degenerate
+    # column means (2, 5), scales (1, 1) with the second constant, labels / 2
+    tr, rs = standardize(train, rest)
     assert np.array_equal(tr.features, [[-1.0, 0.0], [1.0, 0.0]])
     assert np.array_equal(tr.labels, [1.0, -1.0])
     assert np.array_equal(rs.features, [[3.0, 2.0]])
@@ -147,9 +144,8 @@ def test_standardize_hand_case():
 def test_standardize_degenerate_labels():
     train = Dataset(np.array([[1.0], [2.0]]), np.array([0.0, 0.0]))
     rest = Dataset(np.array([[3.0]]), np.array([5.0]))
-    _, rs, stats = standardize(train, rest)
-    assert stats.label_degenerate and stats.label_scale == 1.0
-    assert rs.labels[0] == 5.0
+    _, rs = standardize(train, rest)
+    assert rs.labels[0] == 5.0  # all-zero training labels keep scale 1
     with pytest.raises(ValueError):
         standardize(train, Dataset(np.zeros((2, 3)), np.zeros(2)))
 

@@ -7,19 +7,14 @@ import pytest
 
 from conformal_kit.calibration import NonconformityScores, p_hat, q_hat
 from conformal_kit.dists import binom_cdf
-from conformal_kit.nested import LambdaDomain
 from conformal_kit.risk import (
     Losses,
     PValueGrid,
     crc_lambda,
-    ltt_bonferroni,
     ltt_fixed_sequence,
     ltt_pvalues,
-    ucb_hoeffding,
     ucb_lambda,
 )
-
-EVERYWHERE = LambdaDomain(-math.inf, math.inf)
 
 
 def test_zero_one_curve_shape():
@@ -72,7 +67,7 @@ def test_crc_matches_quantile_rule():
         alpha = float(rng.uniform(0.01, 0.9))
         lam_q = q_hat(NonconformityScores(vals), alpha).lambda_hat
         losses = Losses.zero_one(vals)
-        lam_c = crc_lambda(losses, 1.0, alpha, EVERYWHERE)
+        lam_c = crc_lambda(losses, 1.0, alpha)
         mismatches += lam_c != lam_q
     assert mismatches == 0
 
@@ -85,7 +80,7 @@ def test_crc_matches_quantile_rule_on_level_boundaries():
     scores = NonconformityScores(np.arange(1.0, n + 1.0))
     for i in range(50, 201):
         alpha = float(f"0.{i:03d}")
-        assert crc_lambda(losses, 1.0, alpha, EVERYWHERE) == q_hat(
+        assert crc_lambda(losses, 1.0, alpha) == q_hat(
             scores, alpha
         ).lambda_hat, alpha
 
@@ -93,24 +88,22 @@ def test_crc_matches_quantile_rule_on_level_boundaries():
 def test_crc_validation():
     losses = Losses.zero_one([1.0])
     with pytest.raises(ValueError):
-        crc_lambda(losses, 0.0, 0.1, EVERYWHERE)
+        crc_lambda(losses, 0.0, 0.1)
     with pytest.raises(ValueError):
-        crc_lambda(losses, 1.0, 0.0, EVERYWHERE)
+        crc_lambda(losses, 1.0, 0.0)
     with pytest.raises(ValueError):
-        crc_lambda(losses, 1.0, 1.5, EVERYWHERE)
+        crc_lambda(losses, 1.0, 1.5)
     fat = Losses.steps([], [[2.0]], bound=2.0)
     with pytest.raises(ValueError):
-        crc_lambda(fat, 1.0, 0.5, EVERYWHERE)
+        crc_lambda(fat, 1.0, 0.5)
 
 
 def test_crc_domain_sentinels():
     losses = Losses.zero_one(range(1, 6))
     # alpha below B/(n+1): no threshold qualifies
-    assert crc_lambda(losses, 1.0, 0.1, EVERYWHERE) == math.inf
-    dom = LambdaDomain(0.0, 10.0)
-    assert crc_lambda(losses, 1.0, 0.1, dom) == 10.0
+    assert crc_lambda(losses, 1.0, 0.1) == math.inf
     # alpha = B: condition already holds at the bottom
-    assert crc_lambda(losses, 1.0, 1.0, dom) == 0.0
+    assert crc_lambda(losses, 1.0, 1.0) == -math.inf
 
 
 def test_crc_fractional_losses_exact_boundary():
@@ -119,7 +112,7 @@ def test_crc_fractional_losses_exact_boundary():
         [0.0, 0.5, 1.0], [[1.0, 0.4, 0.4, 0.0], [0.9, 0.9, 0.1, 0.1]], bound=1.0
     )
     # sum at 0.5 is exactly alpha (n+1) - B: boundary must count as inside
-    lam = crc_lambda(losses, 1.0, 0.5, EVERYWHERE)
+    lam = crc_lambda(losses, 1.0, 0.5)
     assert lam == 0.5
 
 
@@ -130,7 +123,7 @@ def test_crc_expected_risk_sandwich():
     for _ in range(trials):
         u = rng.uniform(size=n)
         losses = Losses.zero_one(u)
-        lam = crc_lambda(losses, 1.0, alpha, LambdaDomain(0.0, 1.0))
+        lam = crc_lambda(losses, 1.0, alpha)
         risks.append(1.0 - lam)  # true miscoverage of U(0,1) at lam
     mean = float(np.mean(risks))
     se = float(np.std(risks)) / math.sqrt(trials)
@@ -139,14 +132,18 @@ def test_crc_expected_risk_sandwich():
 
 
 def test_ucb_hoeffding_formula():
-    got = ucb_hoeffding(0.3, 50, 0.05, 1.0)
-    assert got == pytest.approx(0.3 + math.sqrt(math.log(20.0) / 100.0), rel=1e-15)
+    losses = Losses.zero_one(range(1, 51))
+    n, delta = 50, 0.05
+    # at lam = 35 the empirical risk is 15/50; eps is exactly its bound there
+    eps = 15 / n + 1.0 * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+    assert ucb_lambda(losses, eps, delta, method="hoeffding") == 35.0
+    below = math.nextafter(eps, 0.0)
+    assert ucb_lambda(losses, below, delta, method="hoeffding") == 36.0
     with pytest.raises(ValueError):
-        ucb_hoeffding(0.3, 0, 0.05, 1.0)
+        ucb_lambda(losses, eps, 0.0, method="hoeffding")
+    weightless = Losses.steps([1.0], [[0.0, 0.0]], bound=0.0)
     with pytest.raises(ValueError):
-        ucb_hoeffding(0.3, 50, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        ucb_hoeffding(0.3, 50, 0.05, 0.0)
+        ucb_lambda(weightless, eps, delta, method="hoeffding")
 
 
 def test_ucb_matches_tolerance_rule():
@@ -161,7 +158,7 @@ def test_ucb_matches_tolerance_rule():
         delta = float(rng.uniform(0.02, 0.6))
         lam_p = p_hat(NonconformityScores(vals), eps, delta).lambda_hat
         losses = Losses.zero_one(vals)
-        lam_u = ucb_lambda(losses, eps, delta, domain=EVERYWHERE)
+        lam_u = ucb_lambda(losses, eps, delta)
         mismatches += lam_u != lam_p
     assert mismatches == 0
 
@@ -169,8 +166,7 @@ def test_ucb_matches_tolerance_rule():
 def test_ucb_infeasible_returns_top():
     losses = Losses.zero_one(range(1, 21))
     # 0.99^20 = 0.818 > 0.1: even zero exceedances cannot certify eps
-    assert ucb_lambda(losses, 0.01, 0.1, domain=EVERYWHERE) == math.inf
-    assert ucb_lambda(losses, 0.01, 0.1, domain=LambdaDomain(0.0, 30.0)) == 30.0
+    assert ucb_lambda(losses, 0.01, 0.1) == math.inf
 
 
 def test_ucb_hoeffding_never_tighter():
@@ -181,8 +177,8 @@ def test_ucb_hoeffding_never_tighter():
         eps = float(rng.uniform(0.1, 0.6))
         delta = float(rng.uniform(0.05, 0.5))
         losses = Losses.zero_one(vals)
-        lam_e = ucb_lambda(losses, eps, delta, domain=EVERYWHERE)
-        lam_h = ucb_lambda(losses, eps, delta, method="hoeffding", domain=EVERYWHERE)
+        lam_e = ucb_lambda(losses, eps, delta)
+        lam_h = ucb_lambda(losses, eps, delta, method="hoeffding")
         assert lam_h >= lam_e
 
 
@@ -218,15 +214,6 @@ def test_ltt_pvalues_spot_and_monotone():
     assert np.all(np.diff(grid.pvals) <= 0)
 
 
-def test_ltt_bonferroni_strict_cut():
-    g = PValueGrid(np.array([1.0, 2.0]), np.array([0.05, 0.2]))
-    # cut = 0.1 / 2 exactly equals the first p-value: strict, so excluded
-    assert ltt_bonferroni(g, 0.1) == []
-    assert ltt_bonferroni(g, 0.11) == [1.0]
-    empty = PValueGrid(np.array([]), np.array([]))
-    assert ltt_bonferroni(empty, 0.1) == []
-
-
 def test_ltt_fixed_sequence_walk():
     g = PValueGrid(
         np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.02, 0.5, 0.05, 0.01])
@@ -246,7 +233,7 @@ def test_ltt_selection_brackets_ucb():
         eps = float(rng.uniform(0.05, 0.5))
         delta = float(rng.uniform(0.05, 0.5))
         losses = Losses.zero_one(vals)
-        lam_u = ucb_lambda(losses, eps, delta, domain=EVERYWHERE)
+        lam_u = ucb_lambda(losses, eps, delta)
         grid = np.linspace(vals[0] - 0.5, vals[-1] + 0.5, 2001)
         step = grid[1] - grid[0]
         kept = ltt_fixed_sequence(ltt_pvalues(grid, losses, eps), delta)
@@ -254,9 +241,6 @@ def test_ltt_selection_brackets_ucb():
             assert kept == []
         else:
             assert lam_u <= kept[0] <= lam_u + step
-            # monotone p-values: bonferroni keeps a subset of the suffix
-            bon = ltt_bonferroni(ltt_pvalues(grid, losses, eps), delta)
-            assert set(bon) <= set(kept)
 
 
 def test_ltt_pvalues_super_uniform_at_null():

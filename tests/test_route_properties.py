@@ -13,10 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conformal_kit.calibration import NonconformityScores, p_hat, q_hat
-from conformal_kit.nested import LambdaDomain
 from conformal_kit.risk import Losses, crc_lambda, ucb_lambda
-
-EVERYWHERE = LambdaDomain(-math.inf, math.inf)
 
 
 def same_float(a: float, b: float) -> bool:
@@ -55,7 +52,7 @@ def test_crc_is_q_hat(data):
     vals = data.draw(scores)
     alpha = data.draw(levels(len(vals)))
     want = q_hat(NonconformityScores(vals), alpha).lambda_hat
-    got = crc_lambda(Losses.zero_one(vals), 1.0, alpha, EVERYWHERE)
+    got = crc_lambda(Losses.zero_one(vals), 1.0, alpha)
     assert same_float(got, want), (vals, alpha)
 
 
@@ -66,7 +63,7 @@ def test_ucb_is_p_hat(data):
     eps = data.draw(levels(len(vals)))
     delta = data.draw(st.floats(0.01, 0.99))
     want = p_hat(NonconformityScores(vals), eps, delta).lambda_hat
-    got = ucb_lambda(Losses.zero_one(vals), eps, delta, domain=EVERYWHERE)
+    got = ucb_lambda(Losses.zero_one(vals), eps, delta)
     assert same_float(got, want), (vals, eps, delta)
 
 
@@ -83,7 +80,7 @@ def test_single_score_routes(score, data):
     cal = NonconformityScores([score])
     losses = Losses.zero_one([score])
     assert same_float(
-        crc_lambda(losses, 1.0, alpha, EVERYWHERE), q_hat(cal, alpha).lambda_hat
+        crc_lambda(losses, 1.0, alpha), q_hat(cal, alpha).lambda_hat
     )
     assert same_float(
         ucb_lambda(losses, alpha, delta), p_hat(cal, alpha, delta).lambda_hat
