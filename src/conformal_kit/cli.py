@@ -7,13 +7,17 @@ tables; ``experiment`` runs the repeated-split coverage experiment on
 synthetic or CSV data; ``verify`` runs the self-check suites.
 
 All output is JSON (or aligned text for tables) on stdout, deterministic
-for fixed flags and seed.  Infinities are serialized as the strings
-"inf"/"-inf" since JSON has no literal for them, and exact rationals as
-{"fraction": "88/1001", "value": 0.0879...} pairs.  Exit codes: 0 on
-success, 2 on a domain error (invalid level, empty scores, degenerate
-configuration), 1 on an I/O or parse failure; ``verify`` exits 1 when a
-suite fails.  A closed stdout (say, piping into ``head``) ends the run
-quietly with exit code 0.
+for fixed flags and seed.  The JSON is the library's own records,
+serialized field by field.  ``calibrate`` prints the fields of
+``CalibrationResult`` (order index, law, dual, marginal bounds, full-set
+flag) with ``lambda_hat`` taken from the chosen route, plus ``method``,
+``n`` and ``guarantee`` (the target's fields plus its ``kind``).
+Infinities are serialized as the strings "inf"/"-inf" since JSON has no
+literal for them, and exact rationals as {"fraction": "88/1001",
+"value": 0.0879...} pairs.  Exit codes: 0 on success, 2 on a domain error
+(invalid level, empty scores, degenerate configuration), 1 on an I/O or
+parse failure; ``verify`` exits 1 when a suite fails.  A closed stdout
+(say, piping into ``head``) ends the run quietly with exit code 0.
 
 The seed comes from --seed, else the CONFORMAL_KIT_SEED environment
 variable, else a fixed default.
@@ -22,6 +26,7 @@ variable, else a fixed default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -31,16 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (
-    DualAlpha,
-    DualTolerance,
-    Marginal,
-    NonconformityScores,
-    Tolerance,
-    p_hat,
-    q_hat,
-)
-from .dists import BetaParams
+from .calibration import Marginal, NonconformityScores, Tolerance, p_hat, q_hat
 from .experiments import (
     DEFAULT_SEED,
     Dataset,
@@ -67,6 +63,8 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, Fraction):
         return _frac(obj)
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
@@ -85,23 +83,9 @@ def _frac(fr: Fraction) -> dict:
     return {"fraction": f"{fr.numerator}/{fr.denominator}", "value": float(fr)}
 
 
-def _law_json(law: BetaParams | None):
-    return None if law is None else {"a": law.a, "b": law.b}
-
-
-def _dual_json(dual):
-    if isinstance(dual, DualAlpha):
-        return {
-            "alpha": _frac(dual.alpha),
-            "interval": [_frac(dual.interval[0]), _frac(dual.interval[1])],
-        }
-    if isinstance(dual, DualTolerance):
-        return {"delta_min": dual.delta_min, "eps_min": dual.eps_min}
-    raise TypeError(f"unknown dual {dual!r}")
-
-
-def _bounds_json(b) -> dict:
-    return {"lo": b.lo, "hi": b.hi, "exact_mean": _frac(b.exact_mean)}
+def _guarantee(target) -> dict:
+    """A Marginal or Tolerance target's fields, tagged with its kind."""
+    return {"kind": type(target).__name__.lower(), **vars(target)}
 
 
 def _resolve_seed(explicit: int | None) -> int:
@@ -122,13 +106,10 @@ def _read_scores(path) -> np.ndarray:
     """Whitespace-separated floats; parse failures carry the bad token."""
     with open(path) as fh:
         tokens = fh.read().split()
-    values = []
-    for tok in tokens:
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric score {tok!r}") from None
-    return np.asarray(values)
+    try:
+        return np.array(tokens, dtype=float)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _check_levels(args) -> None:
@@ -141,57 +122,47 @@ def _check_levels(args) -> None:
 def cmd_calibrate(args) -> int:
     _check_levels(args)
     scores = NonconformityScores(_read_scores(args.scores))
-    n = scores.n
-    have_tol = args.eps is not None and args.delta is not None
+    method = args.method
     if (args.eps is None) != (args.delta is None):
         raise ValueError("--eps and --delta must be given together")
-
-    # The rank rule's order index, law, dual and bounds annotate every
-    # route; the risk routes compute their own lambda_hat from the losses.
-    method = args.method
-    losses = None if method == "split" else Losses.zero_one(scores.values)
-    if method in ("split", "crc"):
-        if args.alpha is not None:
-            guarantee = {"kind": "marginal", "alpha": args.alpha}
-            res = q_hat(scores, args.alpha, eps=args.eps, delta=args.delta)
-            lam = res.lambda_hat
-            if method == "crc":
-                lam = crc_lambda(losses, 1.0, args.alpha)
-        elif have_tol:
-            if method == "crc":
-                raise ValueError("--method crc requires --alpha (0-1 loss risk)")
-            guarantee = {"kind": "tolerance", "eps": args.eps, "delta": args.delta}
-            res = p_hat(scores, args.eps, args.delta)
-            lam = res.lambda_hat
-        else:
-            raise ValueError("need --alpha, or --eps with --delta")
-    elif method in ("ucb", "ltt"):
-        if not have_tol:
+    if method in ("ucb", "ltt"):
+        if args.eps is None:
             raise ValueError(f"--method {method} requires --eps and --delta")
         if args.alpha is not None:
             raise ValueError(f"--method {method} takes no --alpha")
-        guarantee = {"kind": "tolerance", "eps": args.eps, "delta": args.delta}
+    elif args.alpha is None:
+        if args.eps is None:
+            raise ValueError("need --alpha, or --eps with --delta")
+        if method == "crc":
+            raise ValueError("--method crc requires --alpha (0-1 loss risk)")
+
+    # The rank rule's order index, law, dual and bounds annotate every
+    # route; the risk routes compute their own lambda_hat from the losses.
+    if args.alpha is not None:
+        target = Marginal(args.alpha)
+        res = q_hat(scores, args.alpha, eps=args.eps, delta=args.delta)
+    else:
+        target = Tolerance(args.eps, args.delta)
         res = p_hat(scores, args.eps, args.delta)
-        if method == "ucb":
+    lam = res.lambda_hat
+    if method != "split":
+        losses = Losses.zero_one(scores.values)
+        if method == "crc":
+            lam = crc_lambda(losses, 1.0, args.alpha)
+        elif method == "ucb":
             lam = ucb_lambda(losses, args.eps, args.delta)
         else:
             kept = ltt_fixed_sequence(
                 ltt_pvalues(losses.lambdas, losses, args.eps), args.delta
             )
             lam = float(min(kept)) if kept else math.inf
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {method!r}")
 
     payload = {
+        **vars(res),
         "method": method,
-        "n": n,
-        "guarantee": guarantee,
+        "n": scores.n,
+        "guarantee": _guarantee(target),
         "lambda_hat": _num(lam),
-        "order_index": res.order_index,
-        "full_set": res.full_set,
-        "law": _law_json(res.law),
-        "dual": _dual_json(res.dual),
-        "marginal_bounds": _bounds_json(res.marginal_bounds),
     }
     print(_dumps(payload))
     return 0
@@ -239,19 +210,12 @@ def cmd_experiment(args) -> int:
     seed = _resolve_seed(args.seed)
     eps = args.eps if args.eps is not None else 0.1
     delta = args.delta if args.delta is not None else 0.1
-    if args.alpha is not None:
-        target = Marginal(args.alpha)
-        guarantee = {"kind": "marginal", "alpha": args.alpha}
-    else:
-        target = Tolerance(eps, delta)
-        guarantee = {"kind": "tolerance", "eps": eps, "delta": delta}
+    target = Marginal(args.alpha) if args.alpha is not None else Tolerance(eps, delta)
 
     train, pool, n, n_test, source = _experiment_data(args, seed)
     report = tune_nominal_quantiles(train, target=target, k=args.k_neighbors, seed=seed)
-    lo_level, hi_level = report.selected
-    base = fit_knn_quantile(
-        train, KnnQuantileConfig(args.k_neighbors, lo_level, hi_level)
-    )
+    config = KnnQuantileConfig(args.k_neighbors, *report.selected)
+    base = fit_knn_quantile(train, config)
     law = reference_law(n, target)
     reports = run_trials(
         base, pool, n, n_test, args.trials, target, master_seed=seed,
@@ -261,17 +225,13 @@ def cmd_experiment(args) -> int:
 
     payload = {
         "source": source,
-        "guarantee": guarantee,
+        "guarantee": _guarantee(target),
         "n": n,
         "n_test": n_test,
         "trials": args.trials,
         "seed": seed,
-        "base": {
-            "k": args.k_neighbors,
-            "lo_level": lo_level,
-            "hi_level": hi_level,
-        },
-        "law": {"a": law.a, "b": law.b},
+        "base": config,
+        "law": law,
         "c_bar": summary.c_bar,
         "delta_hat": summary.delta_hat,
         "delta_bar": summary.delta_bar,
@@ -284,8 +244,10 @@ def cmd_experiment(args) -> int:
         print(_dumps(payload))
     else:
         flat = dict(payload)
-        flat["guarantee"] = ";".join(f"{k}={v}" for k, v in guarantee.items())
-        flat["base"] = f"k={args.k_neighbors};lo={lo_level};hi={hi_level}"
+        flat["guarantee"] = ";".join(
+            f"{k}={v}" for k, v in payload["guarantee"].items()
+        )
+        flat["base"] = f"k={config.k};lo={config.lo_level};hi={config.hi_level}"
         flat["law"] = f"a={law.a};b={law.b}"
         print("key,value")
         for key in sorted(flat):
@@ -326,10 +288,7 @@ def cmd_verify(args) -> int:
     results = run_suites(names, trials=args.trials, seed=seed)
     payload = {
         "all_passed": all(r.passed for r in results),
-        "suites": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ],
+        "suites": results,
     }
     print(_dumps(payload))
     return 0 if payload["all_passed"] else 1

@@ -46,6 +46,7 @@ from .dists import (
     betabin_quantile,
     binom_sup_k,
 )
+from .predictors import _cqr_lengths, _cqr_scores
 
 __all__ = [
     "DEFAULT_SEED",
@@ -290,7 +291,7 @@ def _trial_rows(scores, widths, n, n_test, target, master_seed, indices):
         test = perm[n : n + n_test]
         lam = calibrate(NonconformityScores(scores[cal]), target).lambda_hat
         coverage = float(np.mean(scores[test] <= lam))
-        lengths = np.maximum(0.0, widths[test] + 2.0 * lam)
+        lengths = _cqr_lengths(widths[test], lam)
         rows.append((int(j), float(lam), coverage, float(np.mean(lengths))))
     return rows
 
@@ -358,7 +359,7 @@ def run_trials(
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     y = pool.labels
-    args = (np.maximum(lo - y, y - hi), hi - lo, n, n_test, target)
+    args = (_cqr_scores(lo, hi, y), hi - lo, n, n_test, target)
 
     workers = min(workers or 1, R, _usable_cpus())
     if workers <= 1:

@@ -174,6 +174,16 @@ def fit_knn_quantile(train, config: KnnQuantileConfig) -> IntervalPredictor:
     return IntervalPredictor(predict=predict)
 
 
+def _cqr_scores(lo, hi, y):
+    """max(lo - y, y - hi), the signed score of labels y against [lo, hi]."""
+    return np.maximum(lo - y, np.asarray(y) - hi)
+
+
+def _cqr_lengths(width, lam):
+    """Lengths of [lo - lam, hi + lam] from widths hi - lo, 0 where empty."""
+    return np.maximum(0.0, width + 2.0 * lam)
+
+
 def cqr_score(predictor: IntervalPredictor, x, y):
     """Signed conformalization score max(lo(x) - y, y - hi(x)).
 
@@ -189,7 +199,7 @@ def cqr_score(predictor: IntervalPredictor, x, y):
     -1.0
     """
     lo, hi = predictor.predict(x)
-    score = np.maximum(np.asarray(lo) - y, np.asarray(y) - np.asarray(hi))
+    score = _cqr_scores(np.asarray(lo), np.asarray(hi), y)
     if np.ndim(score) == 0:
         return float(score)
     return score
@@ -286,9 +296,8 @@ def tune_nominal_quantiles(
         fold_lengths = []
         for neigh, y in held_out:
             lo, hi = neigh[:, i_lo], neigh[:, i_hi]
-            scores = np.maximum(lo - y, y - hi)
-            result = calibrate(NonconformityScores(scores), target)
-            lengths = np.maximum(0.0, (hi - lo) + 2.0 * result.lambda_hat)
+            result = calibrate(NonconformityScores(_cqr_scores(lo, hi, y)), target)
+            lengths = _cqr_lengths(hi - lo, result.lambda_hat)
             fold_lengths.append(float(np.mean(lengths)))
         means.append(sum(fold_lengths) / folds)
     means = np.asarray(means)

@@ -81,6 +81,8 @@ class Losses:
             raise ValueError("need 1-d lambdas and one more total than lambdas")
         if np.isnan(lam).any() or np.any(np.diff(lam) <= 0):
             raise ValueError("lambdas must be strictly ascending")
+        if np.isnan(tot).any() or np.any(np.diff(tot) > 0):
+            raise ValueError("totals must be non-increasing and not NaN")
         if self.n < 1:
             raise ValueError("need at least one observation")
         object.__setattr__(self, "lambdas", lam)
@@ -101,11 +103,18 @@ class Losses:
 
         ``losses`` is an (n, G + 1) matrix whose row i holds observation
         i's loss on each step, laid out like ``totals``.  Each column is
-        summed with math.fsum, so the totals are correctly rounded.
+        summed with math.fsum, so the totals are correctly rounded.  Every
+        row must be non-increasing and, when ``bound`` is given, within it.
         """
         mat = np.asarray(losses, dtype=float)
         if mat.ndim != 2:
             raise ValueError("losses must be an (n, G + 1) matrix")
+        if np.isnan(mat).any():
+            raise ValueError("losses must not contain NaN")
+        if np.any(np.diff(mat, axis=1) > 0):
+            raise ValueError("each observation's losses must be non-increasing")
+        if bound is not None and np.any(mat > bound):
+            raise ValueError(f"losses exceed their bound {bound}")
         totals = [math.fsum(col) for col in mat.T.tolist()]
         return cls(lambdas, totals, mat.shape[0], bound)
 

@@ -38,6 +38,12 @@ from .risk import Losses, crc_lambda, ltt_fixed_sequence, ltt_pvalues, ucb_lambd
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
 
+# continuous score sets, and grid points on each, of the ltt gap check
+_LTT_GRID_SETS = 5
+_LTT_GRID_SIZE = 10_000
+# largest beta-versus-binomial tail difference the identity suite accepts
+_IDENTITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -105,12 +111,7 @@ def duality_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
 
 
 def equivalence_suite(
-    trials: int = 200,
-    seed: int = 0,
-    q_fn=None,
-    p_fn=None,
-    grid_sets: int = 5,
-    grid_size: int = 10_000,
+    trials: int = 200, seed: int = 0, q_fn=None, p_fn=None
 ) -> SuiteResult:
     """Risk-control routes against quantile calibration on 0-1 losses.
 
@@ -144,12 +145,12 @@ def equivalence_suite(
 
     ltt_bad = 0
     max_gap = 0.0
-    for g in range(grid_sets):
+    for _ in range(_LTT_GRID_SETS):
         vals = rng.standard_normal(40)
         losses = Losses.zero_one(vals)
         eps, delta = 0.2, 0.2
         lam_ucb = ucb_lambda(losses, eps, delta)
-        grid = np.linspace(vals.min() - 0.5, vals.max() + 0.5, grid_size)
+        grid = np.linspace(vals.min() - 0.5, vals.max() + 0.5, _LTT_GRID_SIZE)
         step = float(grid[1] - grid[0])
         kept = ltt_fixed_sequence(ltt_pvalues(grid, losses, eps), delta)
         if math.isinf(lam_ucb):
@@ -206,7 +207,7 @@ def sandwich_suite() -> SuiteResult:
     )
 
 
-def identity_suite(tol: float = 1e-10) -> SuiteResult:
+def identity_suite() -> SuiteResult:
     """Beta tail versus binomial tail through two independent routes.
 
     Beta(1 - p; m + 1 - k, k) = Bin(k - 1; m, p) on a (k, m, p) grid; the
@@ -224,8 +225,8 @@ def identity_suite(tol: float = 1e-10) -> SuiteResult:
                 worst = max(worst, abs(left - right))
     return SuiteResult(
         name="identity",
-        passed=worst < tol,
-        detail={"grid": "10x10x9", "max_abs_diff": worst, "tolerance": tol},
+        passed=worst < _IDENTITY_TOL,
+        detail={"grid": "10x10x9", "max_abs_diff": worst, "tolerance": _IDENTITY_TOL},
     )
 
 

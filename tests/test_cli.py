@@ -13,7 +13,7 @@ from conformal_kit import cli
 from conformal_kit.experiments import gen_synthetic
 from conformal_kit.verify import SuiteResult
 
-from helpers import save_csv
+from helpers import float_bits, save_csv
 
 
 def run(capsys, *argv):
@@ -163,6 +163,17 @@ def test_calibrate_io_errors(tmp_path, capsys):
     bad.write_text("1.0 2.0 zebra")
     code, _, err = run(capsys, "calibrate", "--scores", str(bad), "--alpha", "0.1")
     assert code == 1 and "zebra" in err
+
+
+def test_read_scores_parses_like_float(tmp_path):
+    tokens = ["1_000", "inf", "-Infinity", "nan", "1e-400", "4.9e-324", "1e309", "+5"]
+    path = tmp_path / "tokens.txt"
+    path.write_text(" ".join(tokens))
+    assert float_bits(cli._read_scores(path)) == float_bits([float(t) for t in tokens])
+    for bad in ("zebra", "0x10"):
+        path.write_text(f"1.0 {bad} 2.0")
+        with pytest.raises(cli.ParseError, match=repr(bad)):
+            cli._read_scores(path)
 
 
 def test_tables_output(capsys):

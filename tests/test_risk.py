@@ -41,6 +41,35 @@ def test_losses_validation():
         Losses.steps([1.0], [0.0, 1.0])
 
 
+def test_losses_rejects_bad_totals():
+    with pytest.raises(ValueError, match="non-increasing"):
+        Losses(np.array([1.0, 2.0]), np.array([2.0, 0.0, 1.0]), 2)
+    with pytest.raises(ValueError, match="NaN"):
+        Losses(np.array([1.0]), np.array([math.nan, 0.0]), 1)
+
+
+def test_steps_rejects_nan_losses():
+    with pytest.raises(ValueError, match="NaN"):
+        Losses.steps([1.0], [[math.nan, 0.0]], bound=1.0)
+
+
+def test_steps_rejects_increasing_rows():
+    # the search would skip the candidate -inf, which already meets
+    # (0 + 1)/11 <= 0.5, and return 3.0
+    with pytest.raises(ValueError, match="non-increasing"):
+        Losses.steps([1.0, 2.0, 3.0], [[0, 0, 1, 0]] * 9 + [[0, 0, 0, 0]], bound=1.0)
+    # a row that rises and falls back leaves the totals non-increasing
+    with pytest.raises(ValueError, match="non-increasing"):
+        Losses.steps([1.0, 2.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def test_steps_rejects_losses_above_bound():
+    # crc and hoeffding would both trust bound 1.0 and return 1.0
+    with pytest.raises(ValueError, match="bound"):
+        Losses.steps([1.0], [[5.0, 0.0]] * 4, bound=1.0)
+    assert Losses.steps([1.0], [[5.0, 0.0]] * 4).totals.tolist() == [20.0, 0.0]
+
+
 def test_steps_sum_exactly():
     # 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001 when added left to right
     losses = Losses.steps([1.0], [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]], bound=1.0)
