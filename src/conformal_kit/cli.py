@@ -217,10 +217,7 @@ def cmd_experiment(args) -> int:
     config = KnnQuantileConfig(args.k_neighbors, *report.selected)
     base = fit_knn_quantile(train, config)
     law = reference_law(n, target)
-    reports = run_trials(
-        base, pool, n, n_test, args.trials, target, master_seed=seed,
-        workers=args.workers,
-    )
+    reports = run_trials(base, pool, n, n_test, args.trials, target, master_seed=seed)
     summary = summarize(reports, law, eps=eps, delta=delta, n_test=n_test)
 
     payload = {
@@ -240,27 +237,16 @@ def cmd_experiment(args) -> int:
         "dominance_gap": summary.dominance_gap,
     }
 
-    if args.format == "json":
-        print(_dumps(payload))
-    else:
-        flat = dict(payload)
-        flat["guarantee"] = ";".join(
-            f"{k}={v}" for k, v in payload["guarantee"].items()
-        )
-        flat["base"] = f"k={config.k};lo={config.lo_level};hi={config.hi_level}"
-        flat["law"] = f"a={law.a};b={law.b}"
-        print("key,value")
-        for key in sorted(flat):
-            print(f"{key},{flat[key]}")
-
+    text = _dumps(payload)
+    print(text)
     if args.out is not None:
-        _write_artifacts(Path(args.out), payload, reports, summary)
+        _write_artifacts(Path(args.out), text, reports, summary)
     return 0
 
 
-def _write_artifacts(out: Path, payload, reports, summary) -> None:
+def _write_artifacts(out: Path, summary_json: str, reports, summary) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    (out / "summary.json").write_text(_dumps(payload) + "\n")
+    (out / "summary.json").write_text(summary_json + "\n")
     with open(out / "trials.csv", "w") as fh:
         fh.write("trial_index,lambda_hat,coverage,avg_length\n")
         for r in reports:
@@ -348,9 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument(
         "--delta", type=float, help="tolerance failure probability (default 0.1)"
     )
-    exp.add_argument("--workers", type=int, help="process count for trials")
     exp.add_argument("--out", help="directory for summary, trial and ecdf files")
-    exp.add_argument("--format", choices=("json", "csv"), default="json")
     exp.set_defaults(handler=cmd_experiment)
 
     ver = sub.add_parser("verify", help="run the self-check suites")

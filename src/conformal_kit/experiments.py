@@ -11,7 +11,7 @@ delta_hat and delta_bar, and the KS distance between the empirical
 coverage law and its theoretical reference.
 
 Each trial derives its own random stream from the master seed and the
-trial index, so results are bitwise reproducible at any worker count.
+trial index, so results are bitwise reproducible for a fixed seed.
 
 Also here: the synthetic heavy-tailed regression generator, CSV ingestion
 and standardization for real datasets, and the pair of reference tables
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal
 
@@ -281,28 +279,6 @@ def reference_law(n: int, target) -> BetaParams:
     return law
 
 
-def _trial_rows(scores, widths, n, n_test, target, master_seed, indices):
-    rows = []
-    for j in indices:
-        seq = np.random.SeedSequence(master_seed, spawn_key=(int(j),))
-        rng = np.random.default_rng(seq)
-        perm = rng.permutation(scores.size)
-        cal = perm[:n]
-        test = perm[n : n + n_test]
-        lam = calibrate(NonconformityScores(scores[cal]), target).lambda_hat
-        coverage = float(np.mean(scores[test] <= lam))
-        lengths = _cqr_lengths(widths[test], lam)
-        rows.append((int(j), float(lam), coverage, float(np.mean(lengths))))
-    return rows
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where that is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_trials(
     base,
     pool: Dataset,
@@ -311,7 +287,6 @@ def run_trials(
     R: int,
     target,
     master_seed: int,
-    workers: int | None = None,
 ) -> list[TrialReport]:
     """Repeated random calibration/test splits of a held-out pool.
 
@@ -335,10 +310,6 @@ def run_trials(
         Guarantee to calibrate at.
     master_seed : int
         Root of every trial's random stream.
-    workers : int, optional
-        Process count for parallel trials, capped at the trial count and
-        at the CPUs this process may run on; output is identical for any
-        value.
 
     Examples
     --------
@@ -358,35 +329,29 @@ def run_trials(
     lo, hi = base.predict(pool.features)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    y = pool.labels
-    args = (_cqr_scores(lo, hi, y), hi - lo, n, n_test, target)
+    scores = _cqr_scores(lo, hi, pool.labels)
+    widths = hi - lo
 
-    workers = min(workers or 1, R, _usable_cpus())
-    if workers <= 1:
-        rows = _trial_rows(*args, master_seed, range(R))
-    else:
-        chunks = np.array_split(np.arange(R), workers)
-        rows = []
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [
-                ex.submit(_trial_rows, *args, master_seed, chunk)
-                for chunk in chunks
-            ]
-            for fut in futures:
-                rows.extend(fut.result())
-        rows.sort(key=lambda r: r[0])
-
-    return [
-        TrialReport(
-            trial_index=j,
-            lambda_hat=lam,
-            coverage=cov,
-            avg_length=length,
-            n=n,
-            n_test=n_test,
+    reports = []
+    for j in range(R):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(master_seed, spawn_key=(j,))
         )
-        for j, lam, cov, length in rows
-    ]
+        perm = rng.permutation(scores.size)
+        cal = perm[:n]
+        test = perm[n : n + n_test]
+        lam = calibrate(NonconformityScores(scores[cal]), target).lambda_hat
+        reports.append(
+            TrialReport(
+                trial_index=j,
+                lambda_hat=float(lam),
+                coverage=float(np.mean(scores[test] <= lam)),
+                avg_length=float(np.mean(_cqr_lengths(widths[test], lam))),
+                n=n,
+                n_test=n_test,
+            )
+        )
+    return reports
 
 
 def summarize(

@@ -85,6 +85,8 @@ class Losses:
             raise ValueError("totals must be non-increasing and not NaN")
         if self.n < 1:
             raise ValueError("need at least one observation")
+        if self.bound is not None and tot[0] > self.n * self.bound:
+            raise ValueError(f"totals exceed n times their bound {self.bound}")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "totals", tot)
 
@@ -135,9 +137,9 @@ class PValueGrid:
         pv = np.asarray(self.pvals, dtype=float)
         if lam.ndim != 1 or lam.shape != pv.shape:
             raise ValueError("lambdas and pvals must be 1-d of equal length")
-        if lam.size and np.any(np.diff(lam) <= 0):
+        if np.isnan(lam).any() or np.any(np.diff(lam) <= 0):
             raise ValueError("lambdas must be strictly ascending")
-        if pv.size and (pv.min() < 0.0 or pv.max() > 1.0):
+        if not np.all((pv >= 0.0) & (pv <= 1.0)):
             raise ValueError("p-values must lie in [0, 1]")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "pvals", pv)

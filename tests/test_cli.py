@@ -255,8 +255,6 @@ def test_experiment_deterministic_output(capsys):
     }
     _, out2, _ = run(capsys, *EXP_ARGS)
     assert out1 == out2
-    _, out3, _ = run(capsys, *EXP_ARGS, "--workers", "2")
-    assert out1 == out3
 
 
 def test_experiment_env_seed(capsys, monkeypatch):
@@ -267,15 +265,6 @@ def test_experiment_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("CONFORMAL_KIT_SEED", "not-a-number")
     code, _, err = run(capsys, *EXP_ARGS[:1], *EXP_ARGS[3:])
     assert code == 2 and "CONFORMAL_KIT_SEED" in err
-
-
-def test_experiment_csv_format(capsys):
-    code, out, _ = run(capsys, *EXP_ARGS, "--format", "csv")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "key,value"
-    keys = {line.split(",", 1)[0] for line in lines[1:]}
-    assert {"c_bar", "delta_hat", "delta_bar", "ks_distance"} <= keys
 
 
 def test_experiment_artifacts(tmp_path, capsys):

@@ -5,15 +5,17 @@ the stdout and exit code stored in ``data/cli_golden.json``.  Score files
 are written by the test from seeded draws, so the recorded outputs cover
 every calibrate method and guarantee on continuous scores, one-decimal
 ties, signed zeros, +-inf among normals, n = 1 and a rank-boundary level
-at n = 9999, plus ``tables``, ``experiment`` (JSON and CSV), ``verify``
-and the error exit codes.  stderr is not compared.
+at n = 9999, plus ``tables``, ``experiment`` (tolerance and marginal),
+``verify`` and the error exit codes.  stderr is not compared.
 
 The data file was recorded by running this module as a script,
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
 on the commit before the CLI serialized the library's records itself, on
-an x86-64 build whose long double has a 64-bit mantissa.  The binomial
+an x86-64 build whose long double has a 64-bit mantissa; the
+``experiment-json-marginal`` case was recorded the same way on the
+commit before ``experiment`` lost its CSV output.  The binomial
 tails run in long double, so the file pins that build; elsewhere the
 test is skipped.  A change that means to alter CLI output re-records the
 file the same way and says so in its change notes.
@@ -110,8 +112,7 @@ _EXPERIMENT = ["experiment", "--n", "100", "--n-test", "200", "--trials", "20"]
 CASES = _calibrate_cases() + [
     ("tables", ["tables", "--n", "1000003", "--levels", "0.1", "0.05"]),
     ("experiment-json", _EXPERIMENT),
-    ("experiment-csv", _EXPERIMENT + ["--format", "csv"]),
-    ("experiment-csv-marginal", _EXPERIMENT + ["--alpha", "0.1", "--format", "csv"]),
+    ("experiment-json-marginal", _EXPERIMENT + ["--alpha", "0.1"]),
     ("verify-duality", ["verify", "--suite", "duality", "--trials", "20"]),
     ("verify-sandwich", ["verify", "--suite", "sandwich"]),
 ] + _error_cases()

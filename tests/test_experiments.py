@@ -1,13 +1,12 @@
 """Synthetic generator, CSV handling, trial harness, and lookup tables."""
 
 import math
-from concurrent.futures import Future
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
 
-from conformal_kit import calibration, experiments
+from conformal_kit import calibration
 from conformal_kit.calibration import Marginal, Tolerance
 from conformal_kit.dists import (
     BetaBinParams,
@@ -167,14 +166,12 @@ def _flat_predictor():
     )
 
 
-def test_run_trials_deterministic_across_workers():
+def test_run_trials_deterministic():
     pool = gen_synthetic(300, seed=37)
     train = gen_synthetic(100, seed=38)
     base = fit_knn_quantile(train, KnnQuantileConfig(k=20))
     kw = dict(pool=pool, n=60, n_test=90, R=8, target=Marginal(0.2), master_seed=5)
     serial = run_trials(base, **kw)
-    forked = run_trials(base, **kw, workers=3)
-    assert serial == forked
     assert [r.trial_index for r in serial] == list(range(8))
     again = run_trials(base, **kw)
     assert serial == again
@@ -194,9 +191,7 @@ def _report_bits(reports):
     return ints, float_bits(floats)
 
 
-@pytest.mark.parametrize(
-    "case", ["marginal", "tolerance", "full_set", "ties", "two_workers"]
-)
+@pytest.mark.parametrize("case", ["marginal", "tolerance", "full_set", "ties"])
 def test_run_trials_matches_per_trial_oracle(case):
     pool = _tied_pool(400, 231) if case == "ties" else gen_synthetic(400, seed=232)
     train = _tied_pool(160, 233) if case == "ties" else gen_synthetic(160, seed=234)
@@ -207,41 +202,11 @@ def test_run_trials_matches_per_trial_oracle(case):
         "full_set": Tolerance(0.01, 0.01),
     }.get(case, Marginal(0.1))
     kw = dict(pool=pool, n=60, n_test=300, R=12, target=target, master_seed=235)
-    got = run_trials(base, **kw, workers=2 if case == "two_workers" else None)
+    got = run_trials(base, **kw)
     want = trials_per_gather(base, **kw)
     assert _report_bits(got) == _report_bits(want)
     if case == "full_set":
         assert all(math.isinf(r.avg_length) for r in got)
-
-
-def test_run_trials_caps_processes(monkeypatch):
-    requested = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(
-        experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
-    )
-    pool = gen_synthetic(200, seed=39)
-    kw = dict(pool=pool, n=40, n_test=60, target=Marginal(0.2), master_seed=4)
-    serial = run_trials(_flat_predictor(), R=10, **kw)
-    assert run_trials(_flat_predictor(), R=10, workers=64, **kw) == serial
-    assert run_trials(_flat_predictor(), R=2, workers=64, **kw) == serial[:2]
-    assert requested == [3, 2]
 
 
 def test_one_inversion_per_distinct_n(monkeypatch):

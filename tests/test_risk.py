@@ -46,6 +46,9 @@ def test_losses_rejects_bad_totals():
         Losses(np.array([1.0, 2.0]), np.array([2.0, 0.0, 1.0]), 2)
     with pytest.raises(ValueError, match="NaN"):
         Losses(np.array([1.0]), np.array([math.nan, 0.0]), 1)
+    # crc would trust bound 1.0 for a sum of 20 over 4 observations
+    with pytest.raises(ValueError, match="bound"):
+        Losses(np.array([1.0]), np.array([20.0, 0.0]), 4, bound=1.0)
 
 
 def test_steps_rejects_nan_losses():
@@ -232,6 +235,11 @@ def test_pvalue_grid_validation():
         PValueGrid(np.array([1.0, 2.0]), np.array([0.1]))
     with pytest.raises(ValueError):
         PValueGrid(np.array([1.0, 2.0]), np.array([0.1, 1.2]))
+    with pytest.raises(ValueError, match="ascending"):
+        PValueGrid(np.array([1.0, math.nan]), np.array([0.1, 0.2]))
+    # a NaN p-value would count as a rejection in the fixed-sequence walk
+    with pytest.raises(ValueError, match="p-values"):
+        PValueGrid(np.array([1.0, 2.0]), np.array([math.nan, math.nan]))
 
 
 def test_ltt_pvalues_spot_and_monotone():
