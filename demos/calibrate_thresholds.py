@@ -10,8 +10,9 @@ import numpy as np
 
 from conformal_kit import (
     NonconformityScores,
-    alpha_given_tolerance,
+    Tolerance,
     p_hat,
+    plan,
     q_hat,
     tolerance_delta_given_alpha,
     tolerance_eps_given_alpha,
@@ -45,7 +46,7 @@ def main():
     print(f"  smallest delta so that alpha = 0.1 gives a 0.1-tolerance: {d:.4f}")
     e = tolerance_eps_given_alpha(n, 0.1, 0.1)
     print(f"  smallest eps certified by alpha = 0.1 with delta = 0.1:   {e:.4f}")
-    a = alpha_given_tolerance(n, 0.1, 0.1)
+    a = plan(n, Tolerance(0.1, 0.1)).dual
     print(f"  marginal level dual to (0.1, 0.1):                        {a.alpha}")
 
 

@@ -14,8 +14,7 @@ from conformal_kit import (
     Losses,
     NonconformityScores,
     crc_lambda,
-    ltt_fixed_sequence,
-    ltt_pvalues,
+    ltt_lambda,
     p_hat,
     q_hat,
     ucb_lambda,
@@ -30,7 +29,7 @@ def main():
 
     print(f"marginal level alpha = {alpha}")
     print(f"  quantile rule  {q_hat(scores, alpha).lambda_hat:+.6f}")
-    print(f"  crc            {crc_lambda(losses, 1.0, alpha):+.6f}")
+    print(f"  crc            {crc_lambda(losses, alpha):+.6f}")
 
     print(f"\ntolerance pair eps = {eps}, delta = {delta}")
     lam_p = p_hat(scores, eps, delta).lambda_hat
@@ -41,11 +40,11 @@ def main():
     print(f"  hoeffding ucb  {lam_h:+.6f}  (looser bound, larger threshold)")
 
     grid = np.linspace(scores.values[0] - 0.5, scores.values[-1] + 0.5, 10_000)
-    kept = ltt_fixed_sequence(ltt_pvalues(grid, losses, eps), delta)
+    lam_l = ltt_lambda(losses, eps, delta, grid)
     step = grid[1] - grid[0]
-    print(f"  ltt            {kept[0]:+.6f}  (grid step {step:.6f})")
+    print(f"  ltt            {lam_l:+.6f}  (grid step {step:.6f})")
     print(f"\nucb == rank rule: {lam_u == lam_p}")
-    print(f"ltt within one grid step of ucb: {lam_u <= kept[0] <= lam_u + step}")
+    print(f"ltt within one grid step of ucb: {lam_u <= lam_l <= lam_u + step}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ The package calibrates a threshold lambda_hat on held-out nonconformity
 scores so the resulting prediction set carries a distribution-free
 finite-sample guarantee: marginal coverage (q_hat), an (eps, delta)
 tolerance region (p_hat), or a bounded monotone risk (crc_lambda,
-ucb_lambda, ltt_fixed_sequence).  Exact binomial and beta-binomial tail
+ucb_lambda, ltt_lambda).  Exact binomial and beta-binomial tail
 machinery lives in ``dists``, the duality between the guarantees in
 ``calibration``, coverage-law experiments in ``experiments`` and the
 runtime self-checks in ``verify``.

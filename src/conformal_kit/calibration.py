@@ -7,9 +7,10 @@ tolerance calibrator ``p_hat`` inverts a binomial tail so that, with
 probability 1 - delta over the calibration draw, the resulting set covers
 at least 1 - eps of future points.  The two are linked by an exact duality:
 every tolerance pair (eps, delta) maps to the marginal level alpha =
-(k* + 1)/(n + 1), and both calibrators then select the same order
-statistic.  That tolerance rank is Wilks' one-sided tolerance limit, and
-``plan(n, t).law`` is its Beta coverage law.
+(k* + 1)/(n + 1), ``plan(n, Tolerance(eps, delta)).dual.alpha``, and both
+calibrators then select the same order statistic.  That tolerance rank is
+Wilks' one-sided tolerance limit, and ``plan(n, t).law`` is its Beta
+coverage law.
 
 Index arithmetic runs on exact rationals.  The guarantees hinge on
 half-open level intervals of width 1/(n + 1), and a float alpha sitting one
@@ -43,7 +44,6 @@ __all__ = [
     "MarginalBounds",
     "DualAlpha",
     "DualTolerance",
-    "AlphaFromTolerance",
     "CalibrationPlan",
     "CalibrationResult",
     "plan",
@@ -52,7 +52,6 @@ __all__ = [
     "calibrate",
     "tolerance_delta_given_alpha",
     "tolerance_eps_given_alpha",
-    "alpha_given_tolerance",
     "marginal_bounds",
 ]
 
@@ -164,18 +163,6 @@ class DualTolerance:
 
     delta_min: float | None
     eps_min: float | None
-
-
-@dataclass(frozen=True)
-class AlphaFromTolerance:
-    """Smallest marginal level whose set is an (eps, delta) tolerance region.
-
-    ``full_set`` marks the degenerate case where no finite threshold
-    qualifies and only the full label space honours the guarantee.
-    """
-
-    alpha: Fraction
-    full_set: bool
 
 
 @dataclass(frozen=True)
@@ -306,23 +293,6 @@ def tolerance_eps_given_alpha(n, alpha, delta: float) -> float:
     k = _floor_rank(n, alpha)
     delta = _check_prob("delta", delta, open_interval=True)
     return binom_inf_p(k, n, delta)
-
-
-def alpha_given_tolerance(n, eps: float, delta: float) -> AlphaFromTolerance:
-    """Smallest marginal level dual to the tolerance pair (eps, delta).
-
-    alpha = (k* + 1)/(n + 1) with k* the largest k whose binomial tail
-    stays within delta.  When no k qualifies the full label space is the
-    only valid region; the limiting level 1/(n + 1) is returned with the
-    degenerate flag set.
-
-    Examples
-    --------
-    >>> alpha_given_tolerance(1000, 0.1, 0.1).alpha  # 88/1001 reduced
-    Fraction(8, 91)
-    """
-    p = plan(n, Tolerance(eps, delta))
-    return AlphaFromTolerance(p.dual.alpha, p.full_set)
 
 
 def marginal_bounds(n, alpha) -> MarginalBounds:

@@ -50,7 +50,7 @@ from .experiments import (
     tolerance_tables,
 )
 from .predictors import KnnQuantileConfig, fit_knn_quantile, tune_nominal_quantiles
-from .risk import Losses, crc_lambda, ltt_fixed_sequence, ltt_pvalues, ucb_lambda
+from .risk import Losses, crc_lambda, ltt_lambda, ucb_lambda
 from .verify import SUITE_NAMES, run_suites
 
 
@@ -148,14 +148,11 @@ def cmd_calibrate(args) -> int:
     if method != "split":
         losses = Losses.zero_one(scores.values)
         if method == "crc":
-            lam = crc_lambda(losses, 1.0, args.alpha)
+            lam = crc_lambda(losses, args.alpha)
         elif method == "ucb":
             lam = ucb_lambda(losses, args.eps, args.delta)
         else:
-            kept = ltt_fixed_sequence(
-                ltt_pvalues(losses.lambdas, losses, args.eps), args.delta
-            )
-            lam = float(min(kept)) if kept else math.inf
+            lam = ltt_lambda(losses, args.eps, args.delta)
 
     payload = {
         **vars(res),

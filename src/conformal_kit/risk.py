@@ -1,7 +1,7 @@
 """Risk-controlling threshold selection for monotone bounded losses.
 
 Three calibrators generalize the split conformal ones from miscoverage to
-arbitrary non-increasing losses bounded by B.  Conformal risk control picks
+arbitrary non-increasing losses in [0, B].  Conformal risk control picks
 the smallest threshold where the inflated empirical risk
 (n R_hat(lam) + B)/(n + 1) stays within alpha.  Upper-confidence-bound
 calibration walks down from lambda = +inf while a pointwise upper bound
@@ -12,8 +12,10 @@ multiple testing with binomial p-values under FWER control.
 
 Every route reads the calibration losses through one ``Losses``: their sum
 over the n observations as a step function of lambda, held as its exact
-breakpoints and the sum on each step.  Infima over lambda are taken over
-those breakpoints, and the threshold conditions are compared in exact
+breakpoints and the sum on each step, together with the bound B.  Each
+route takes the losses and its levels and returns ``lambda_hat``, +inf
+when no threshold qualifies.  Infima over lambda are taken over the
+breakpoints, and the threshold conditions are compared in exact
 rational arithmetic.  The equivalence with the rank-based calibrators is a
 theorem, and these routes are kept independent enough that the test suite
 can actually check it.
@@ -31,14 +33,7 @@ import numpy as np
 from ._rational import as_fraction, on_grid
 from .dists import _check_prob, binom_cdf, binom_inf_p
 
-__all__ = [
-    "Losses",
-    "PValueGrid",
-    "crc_lambda",
-    "ucb_lambda",
-    "ltt_pvalues",
-    "ltt_fixed_sequence",
-]
+__all__ = ["Losses", "crc_lambda", "ucb_lambda", "ltt_lambda"]
 
 _COUNT_TOL = 1e-9
 
@@ -57,8 +52,9 @@ class Losses:
         ``lambdas[-1]`` up.
     n : int
         Number of observations.
-    bound : float, optional
-        Uniform upper bound B on each observation's loss, when known.
+    bound : float
+        The bound B: each observation's loss lies in [0, B], with B
+        positive and finite.
 
     Examples
     --------
@@ -72,7 +68,7 @@ class Losses:
     lambdas: np.ndarray
     totals: np.ndarray
     n: int
-    bound: float | None = None
+    bound: float
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -85,10 +81,15 @@ class Losses:
             raise ValueError("totals must be non-increasing and not NaN")
         if self.n < 1:
             raise ValueError("need at least one observation")
-        if self.bound is not None and tot[0] > self.n * self.bound:
-            raise ValueError(f"totals exceed n times their bound {self.bound}")
+        bound = float(self.bound)
+        if not 0 < bound < math.inf:
+            raise ValueError(f"loss bound must be positive and finite, got {bound}")
+        # the sums of losses in [0, B] lie in [0, n B]
+        if not (tot[-1] >= 0 and tot[0] <= self.n * bound):
+            raise ValueError(f"totals must lie in [0, n B] for the bound B={bound}")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "totals", tot)
+        object.__setattr__(self, "bound", bound)
 
     @classmethod
     def zero_one(cls, scores) -> "Losses":
@@ -100,13 +101,13 @@ class Losses:
         return cls(lam, np.concatenate(([s.size], above)), s.size, bound=1.0)
 
     @classmethod
-    def steps(cls, lambdas, losses, bound: float | None = None) -> "Losses":
+    def steps(cls, lambdas, losses, bound: float) -> "Losses":
         """Per-observation losses on the steps of ``lambdas``, summed exactly.
 
         ``losses`` is an (n, G + 1) matrix whose row i holds observation
         i's loss on each step, laid out like ``totals``.  Each column is
         summed with math.fsum, so the totals are correctly rounded.  Every
-        row must be non-increasing and, when ``bound`` is given, within it.
+        row must be non-increasing, and every entry must lie in [0, bound].
         """
         mat = np.asarray(losses, dtype=float)
         if mat.ndim != 2:
@@ -115,34 +116,14 @@ class Losses:
             raise ValueError("losses must not contain NaN")
         if np.any(np.diff(mat, axis=1) > 0):
             raise ValueError("each observation's losses must be non-increasing")
-        if bound is not None and np.any(mat > bound):
-            raise ValueError(f"losses exceed their bound {bound}")
+        if np.any(mat < 0) or np.any(mat > bound):
+            raise ValueError(f"losses must lie in [0, B] for the bound B={bound}")
         totals = [math.fsum(col) for col in mat.T.tolist()]
         return cls(lambdas, totals, mat.shape[0], bound)
 
     def total(self, lam: float) -> float:
         """Sum of the losses at threshold lam."""
         return float(self.totals[np.searchsorted(self.lambdas, lam, side="right")])
-
-
-@dataclass(frozen=True)
-class PValueGrid:
-    """An ascending threshold grid with one p-value per null R(lam_j) > eps."""
-
-    lambdas: np.ndarray
-    pvals: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        pv = np.asarray(self.pvals, dtype=float)
-        if lam.ndim != 1 or lam.shape != pv.shape:
-            raise ValueError("lambdas and pvals must be 1-d of equal length")
-        if np.isnan(lam).any() or np.any(np.diff(lam) <= 0):
-            raise ValueError("lambdas must be strictly ascending")
-        if not np.all((pv >= 0.0) & (pv <= 1.0)):
-            raise ValueError("p-values must lie in [0, 1]")
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "pvals", pv)
 
 
 def _first_ok(losses: Losses, ok) -> float:
@@ -167,33 +148,30 @@ def _first_ok(losses: Losses, ok) -> float:
     return cand(k)
 
 
-def crc_lambda(losses: Losses, B: float, alpha) -> float:
+def crc_lambda(losses: Losses, alpha) -> float:
     """Conformal risk control: inf{lam : (n R_hat(lam) + B)/(n+1) <= alpha}.
 
     The condition is monotone for non-increasing losses, so the infimum is
     located by binary search over the exact breakpoint candidates; the
     comparison n R_hat + B <= alpha (n + 1) runs in rational arithmetic,
     with a float alpha moved onto the grid j/(n + 1) it rounds from, so
-    grid-boundary levels never misclassify.  Returns +inf when no finite
-    threshold qualifies, which for 0-1 loss is the full-set sentinel.
+    grid-boundary levels never misclassify.  B is the bound of the losses.
+    Returns +inf when no finite threshold qualifies, which for 0-1 loss is
+    the full-set sentinel.
 
     Examples
     --------
     >>> losses = Losses.zero_one(range(1, 10))
-    >>> crc_lambda(losses, 1.0, 0.1)
+    >>> crc_lambda(losses, 0.1)
     9.0
     """
-    B = float(B)
-    if B <= 0:
-        raise ValueError(f"loss bound must be positive, got B={B}")
+    B = losses.bound
     a = as_fraction(alpha)
     if not 0 < a <= as_fraction(B):
         raise ValueError(
             f"need 0 < alpha <= B for a non-vacuous guarantee, got "
             f"alpha={alpha}, B={B}"
         )
-    if losses.bound is not None and losses.bound > B:
-        raise ValueError(f"loss bound {losses.bound} exceeds B={B}")
 
     # sum of losses <= alpha (n + 1) - B, exactly
     n = losses.n
@@ -201,14 +179,22 @@ def crc_lambda(losses: Losses, B: float, alpha) -> float:
     return _first_ok(losses, lambda total: Fraction(total) <= threshold)
 
 
-def _zero_one_count(total: float, n: int) -> int:
-    count = round(total)
-    if abs(total - count) > _COUNT_TOL * max(1, n):
+def _zero_one_counts(totals, n: int):
+    """Exceedance counts behind sums of 0-1 losses, as Python ints.
+
+    Takes one sum or an array of them and returns an int or a list.  A sum
+    further than the tolerance from an integer means the losses are not
+    0-1, which the exact binomial routes need.
+    """
+    t = np.asarray(totals, dtype=float)
+    counts = np.round(t)
+    off = np.abs(t - counts) > _COUNT_TOL * max(1, n)
+    if off.any():
         raise ValueError(
             "exact binomial bound needs 0-1 losses; "
-            f"sum of losses {total} is not an integer"
+            f"sum of losses {float(t[off].flat[0])} is not an integer"
         )
-    return int(count)
+    return counts.astype(np.int64).tolist()
 
 
 def ucb_lambda(
@@ -243,20 +229,17 @@ def ucb_lambda(
     """
     n = losses.n
     eps = float(eps)
+    if math.isnan(eps):
+        raise ValueError("eps must not be NaN")
     delta = _check_prob("delta", delta, open_interval=True)
 
     if method == "exact-binomial":
 
         def ok(total: float) -> bool:
-            return binom_inf_p(_zero_one_count(total, n), n, delta) <= eps
+            return binom_inf_p(_zero_one_counts(total, n), n, delta) <= eps
 
     elif method == "hoeffding":
-        B = losses.bound
-        if B is None:
-            raise ValueError("hoeffding bound needs the loss bound set")
-        if B <= 0:
-            raise ValueError(f"loss bound must be positive, got B={B}")
-        margin = B * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+        margin = losses.bound * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
         def ok(total: float) -> bool:
             return total / n + margin <= eps
@@ -267,46 +250,44 @@ def ucb_lambda(
     return _first_ok(losses, ok)
 
 
-def ltt_pvalues(grid, losses: Losses, eps: float) -> PValueGrid:
-    """Binomial p-values for the nulls R(lam_j) > eps on a threshold grid.
+def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
+    """Learn-then-test: fixed-sequence testing down a threshold grid.
 
-    p_j = Bin(n R_hat(lam_j); n, eps), super-uniform under the null for
-    0-1 losses.
+    Each grid point lam_j carries the binomial p-value
+    p_j = Bin(n R_hat(lam_j); n, eps) of the null R(lam_j) > eps,
+    super-uniform under the null for 0-1 losses.  The walk goes from the
+    largest threshold toward the smallest, spends the full budget delta on
+    each test, no correction for the grid size, and stops at the first
+    p-value above delta.  Returns the smallest threshold it rejects, one
+    past the last grid point whose p-value exceeds delta, or +inf when
+    that is the top one.
+
+    Parameters
+    ----------
+    losses : Losses
+        0-1 losses of the calibration observations.
+    eps, delta : float
+        Risk level and family-wise error budget, each in (0, 1).
+    grid : array_like, optional
+        Strictly ascending thresholds to test; the breakpoints of the
+        losses by default.
 
     Examples
     --------
     >>> losses = Losses.zero_one([1.0, 2.0])
-    >>> round(float(ltt_pvalues([3.0], losses, 0.1).pvals[0]), 10)
-    0.81
+    >>> ltt_lambda(losses, 0.1, 0.9, grid=[1.5, 3.0])  # p-values 0.99, 0.81
+    3.0
     """
-    n = losses.n
     eps = _check_prob("eps", eps, open_interval=True)
-    lam = np.asarray(grid, dtype=float)
+    delta = _check_prob("delta", delta, open_interval=True)
+    lam = losses.lambdas if grid is None else np.asarray(grid, dtype=float)
+    if lam.ndim != 1 or np.isnan(lam).any() or np.any(np.diff(lam) <= 0):
+        raise ValueError("grid must be 1-d and strictly ascending")
+    n = losses.n
     totals = losses.totals[np.searchsorted(losses.lambdas, lam, side="right")]
-    counts = [_zero_one_count(t, n) for t in totals.tolist()]
+    counts = _zero_one_counts(totals, n)
     # one CDF per distinct count: a fine grid repeats them
     cdf = {k: binom_cdf(k, n, eps) for k in set(counts)}
-    return PValueGrid(lambdas=lam, pvals=np.array([cdf[k] for k in counts]))
-
-
-def ltt_fixed_sequence(pgrid: PValueGrid, delta: float) -> list[float]:
-    """Fixed-sequence testing from the top of the grid downward.
-
-    Walks from the largest threshold toward the smallest, keeping every
-    lam_j with p_j <= delta and stopping at the first failure to reject.
-    The full budget delta is spent on each test, no correction for the
-    grid size.  Returns the selected thresholds in ascending order.
-
-    Examples
-    --------
-    >>> g = PValueGrid(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.02, 0.01]))
-    >>> ltt_fixed_sequence(g, 0.1)
-    [2.0, 3.0]
-    """
-    delta = _check_prob("delta", delta, open_interval=True)
-    chosen = []
-    for l, p in zip(pgrid.lambdas[::-1], pgrid.pvals[::-1]):
-        if p > delta:
-            break
-        chosen.append(float(l))
-    return chosen[::-1]
+    above = np.flatnonzero(np.array([cdf[k] for k in counts]) > delta)
+    first = int(above[-1]) + 1 if above.size else 0
+    return float(lam[first]) if first < lam.size else math.inf

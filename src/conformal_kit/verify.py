@@ -24,9 +24,9 @@ import numpy as np
 from .calibration import (
     NonconformityScores,
     Tolerance,
-    alpha_given_tolerance,
     marginal_bounds,
     p_hat,
+    plan,
     q_hat,
     tolerance_delta_given_alpha,
     tolerance_eps_given_alpha,
@@ -34,7 +34,7 @@ from .calibration import (
 from .dists import BetaParams, beta_reg, binom_cdf
 from .experiments import gen_synthetic, reference_law, run_trials, summarize
 from .predictors import KnnQuantileConfig, fit_knn_quantile
-from .risk import Losses, crc_lambda, ltt_fixed_sequence, ltt_pvalues, ucb_lambda
+from .risk import Losses, crc_lambda, ltt_lambda, ucb_lambda
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
 
@@ -86,11 +86,11 @@ def duality_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
             if tolerance_delta_given_alpha(n, alpha, eps_min) > delta:
                 failures += 1
 
-        dual = alpha_given_tolerance(n, eps, delta)
-        if not dual.full_set:
-            k_star = int(dual.alpha * (n + 1) - 1)
+        tol = plan(n, Tolerance(eps, delta))
+        if not tol.full_set:
+            k_star = int(tol.dual.alpha * (n + 1) - 1)
             idx_tol = n - k_star
-            lo = dual.alpha
+            lo = tol.dual.alpha
             hi = Fraction(k_star + 2, n + 1)
             same = all(
                 math.ceil((1 - a) * (n + 1)) == idx_tol
@@ -135,7 +135,7 @@ def equivalence_suite(
         losses = Losses.zero_one(vals)
 
         alpha = float(rng.uniform(0.02, 0.95))
-        if crc_lambda(losses, 1.0, alpha) != q_fn(scores, alpha):
+        if crc_lambda(losses, alpha) != q_fn(scores, alpha):
             crc_bad += 1
 
         eps = float(rng.uniform(0.02, 0.6))
@@ -152,15 +152,15 @@ def equivalence_suite(
         lam_ucb = ucb_lambda(losses, eps, delta)
         grid = np.linspace(vals.min() - 0.5, vals.max() + 0.5, _LTT_GRID_SIZE)
         step = float(grid[1] - grid[0])
-        kept = ltt_fixed_sequence(ltt_pvalues(grid, losses, eps), delta)
+        lam_ltt = ltt_lambda(losses, eps, delta, grid)
         if math.isinf(lam_ucb):
-            if kept:
+            if not math.isinf(lam_ltt):
                 ltt_bad += 1
             continue
-        if not kept:
+        if math.isinf(lam_ltt):
             ltt_bad += 1
             continue
-        gap = abs(min(kept) - lam_ucb)
+        gap = abs(lam_ltt - lam_ucb)
         max_gap = max(max_gap, gap)
         if gap > step:
             ltt_bad += 1
@@ -270,7 +270,9 @@ def superuniform_suite(trials: int = 2000, seed: int = 0) -> SuiteResult:
     checks P[p <= u] <= u plus Monte Carlo slack on a u-grid; then builds
     staircase loss worlds whose risk exceeds eps strictly below the top
     threshold and confirms the fixed-sequence walk selects a harmful
-    threshold in at most a delta + slack fraction of worlds.
+    threshold in at most a delta + slack fraction of worlds.  The walk
+    keeps a suffix of the grid and the risks fall along it, so a world
+    selects a harmful threshold exactly when the returned one is harmful.
     """
     eps, delta, n = 0.1, 0.1, 60
     rng = np.random.default_rng(seed)
@@ -292,8 +294,8 @@ def superuniform_suite(trials: int = 2000, seed: int = 0) -> SuiteResult:
     for _ in range(trials):
         u = rng.uniform(size=n)
         losses = Losses.steps(lam_grid, u[:, None] < step_risks, bound=1.0)
-        kept = ltt_fixed_sequence(ltt_pvalues(lam_grid, losses, eps), delta)
-        if any(risks[int(np.searchsorted(lam_grid, k))] > eps for k in kept):
+        lam = ltt_lambda(losses, eps, delta, lam_grid)
+        if lam < math.inf and risks[int(np.searchsorted(lam_grid, lam))] > eps:
             false_hits += 1
     fwer = false_hits / trials
     fwer_bound = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)

@@ -6,7 +6,9 @@ Fraction arithmetic, scipy.stats reference distributions), so that each
 numerical claim is checked through two unrelated routes.  The two
 ``*_bisect`` searches are the exception: they replay ``binom_sup_k`` and
 ``binom_inf_p`` with every probe evaluated by the package's own
-``binom_cdf``, the reference the bracketed searches must match bit for bit.
+``binom_cdf``, the reference the bracketed searches must match bit for bit,
+and ``ltt_walk`` replays ``ltt_lambda`` with one ``binom_cdf`` p-value per
+grid point and the fixed-sequence walk taken one point at a time.
 Likewise the two harness loops at the end replay ``tune_nominal_quantiles``
 with one fitted predictor per (candidate, fold) and ``run_trials`` with the
 scores recomputed in every trial: the references for the shared-work
@@ -170,6 +172,29 @@ def binom_inf_p_bisect(k: int, n: int, delta: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def ltt_walk(losses, eps: float, delta: float, grid=None) -> float:
+    """``ltt_lambda`` as a p-value per grid point and a loop down the grid.
+
+    p_j = Bin(count_j; n, eps) with count_j the exact 0-1 loss sum at
+    lam_j.  The walk starts at the largest threshold, keeps every lam_j
+    with p_j <= delta and stops at the first one above; the smallest kept
+    threshold is returned, +inf when none is kept.
+    """
+    lam = losses.lambdas if grid is None else np.asarray(grid, dtype=float)
+    pvals = []
+    for l in lam.tolist():
+        total = losses.total(l)
+        count = int(total)
+        assert count == total, "the binomial p-value needs 0-1 losses"
+        pvals.append(binom_cdf(count, losses.n, eps))
+    chosen = []
+    for l, p in zip(lam.tolist()[::-1], pvals[::-1]):
+        if p > delta:
+            break
+        chosen.append(l)
+    return min(chosen) if chosen else math.inf
 
 
 def sort_scores(values) -> np.ndarray:

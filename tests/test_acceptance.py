@@ -13,8 +13,8 @@ import pytest
 from conformal_kit.calibration import (
     NonconformityScores,
     Tolerance,
-    alpha_given_tolerance,
     p_hat,
+    plan,
     q_hat,
 )
 from conformal_kit.dists import BetaParams, beta_reg, binom_cdf
@@ -31,13 +31,7 @@ from conformal_kit.predictors import (
     fit_knn_quantile,
     tune_nominal_quantiles,
 )
-from conformal_kit.risk import (
-    Losses,
-    crc_lambda,
-    ltt_fixed_sequence,
-    ltt_pvalues,
-    ucb_lambda,
-)
+from conformal_kit.risk import Losses, crc_lambda, ltt_lambda, ucb_lambda
 
 # Published reference tables.  Rows: delta = 10%, 5%, 1%, 0.5%, 0.1%;
 # columns: eps (resp. alpha) at the same levels.
@@ -148,7 +142,7 @@ def test_criterion_2_smallest_eps_table():
 
 
 def test_criterion_3_duality_spot():
-    dual = alpha_given_tolerance(1000, 0.1, 0.1)
+    dual = plan(1000, Tolerance(0.1, 0.1)).dual
     coverage_pct = round(100 * (1 - float(dual.alpha)), 2)
     res = p_hat(NonconformityScores(np.arange(1.0, 1001.0)), 0.1, 0.1)
     ok = (
@@ -222,7 +216,7 @@ def test_criterion_6_route_equivalence():
         scores = NonconformityScores(vals)
         curves = Losses.zero_one(scores.values)
         alpha = float(rng.uniform(0.01, 0.9))
-        if crc_lambda(curves, 1.0, alpha) != q_hat(scores, alpha).lambda_hat:
+        if crc_lambda(curves, alpha) != q_hat(scores, alpha).lambda_hat:
             crc_bad += 1
         eps = float(rng.uniform(0.02, 0.6))
         delta = float(rng.uniform(0.02, 0.6))
@@ -240,11 +234,11 @@ def test_criterion_6_route_equivalence():
         lam_u = ucb_lambda(curves, eps, delta)
         grid = np.linspace(vals[0] - 0.5, vals[-1] + 0.5, 10_000)
         step = grid[1] - grid[0]
-        kept = ltt_fixed_sequence(ltt_pvalues(grid, curves, eps), delta)
+        lam_l = ltt_lambda(curves, eps, delta, grid)
         if math.isinf(lam_u):
-            gap_bad += kept != []
+            gap_bad += lam_l != math.inf
         else:
-            gap_bad += not (lam_u <= kept[0] <= lam_u + step)
+            gap_bad += not (lam_u <= lam_l <= lam_u + step)
     ok = crc_bad == 0 and ucb_bad == 0 and gap_bad == 0
     line = _verdict(
         6,

@@ -15,7 +15,6 @@ from conformal_kit.calibration import (
     Marginal,
     NonconformityScores,
     Tolerance,
-    alpha_given_tolerance,
     calibrate,
     marginal_bounds,
     p_hat,
@@ -140,7 +139,7 @@ def test_calibrate_dispatch():
     scores = NonconformityScores(np.arange(1.0, 11.0))
     assert calibrate(scores, Marginal(0.2)).order_index == 9
     assert calibrate(scores, Tolerance(0.3, 0.2)).lambda_hat == q_hat(
-        scores, alpha_given_tolerance(10, 0.3, 0.2).alpha
+        scores, plan(10, Tolerance(0.3, 0.2)).dual.alpha
     ).lambda_hat
     with pytest.raises(TypeError):
         calibrate(scores, 0.1)
@@ -212,11 +211,12 @@ def test_alpha_given_tolerance_round_trip_property(data):
     n = data.draw(sizes)
     eps = data.draw(st.one_of(grid_levels(n), free_levels))
     delta = data.draw(st.one_of(grid_levels(n), free_levels))
-    dual = alpha_given_tolerance(n, eps, delta)
-    rank = plan(n, Tolerance(eps, delta)).order_index
+    tol = plan(n, Tolerance(eps, delta))
+    dual = tol.dual
+    rank = tol.order_index
     j = dual.alpha * (n + 1)
     assert j.denominator == 1
-    if dual.full_set:
+    if tol.full_set:
         assert rank == n + 1 and plan(n, Marginal(dual.alpha / 2)).full_set
         return
     for alpha in near(dual.alpha):
@@ -260,14 +260,14 @@ def test_eps_given_alpha_round_trip_property(data):
 
 
 def test_alpha_given_tolerance_reference():
-    got = alpha_given_tolerance(1000, 0.1, 0.1)
-    assert got.alpha == Fraction(88, 1001)
+    got = plan(1000, Tolerance(0.1, 0.1))
+    assert got.dual.alpha == Fraction(88, 1001)
     assert not got.full_set
     # printed significance level in percent
-    assert float(got.alpha) == pytest.approx(0.0879, abs=5e-5)
-    infeasible = alpha_given_tolerance(50, 0.01, 0.05)
+    assert float(got.dual.alpha) == pytest.approx(0.0879, abs=5e-5)
+    infeasible = plan(50, Tolerance(0.01, 0.05))
     assert infeasible.full_set
-    assert infeasible.alpha == Fraction(1, 51)
+    assert infeasible.dual.alpha == Fraction(1, 51)
 
 
 @pytest.mark.parametrize(
@@ -275,7 +275,7 @@ def test_alpha_given_tolerance_reference():
     [(1000, 91.21), (4354, 90.59), (864, 91.33), (797, 91.35), (412, 92.01)],
 )
 def test_alpha_given_tolerance_dataset_targets(n, coverage_pct):
-    alpha = alpha_given_tolerance(n, 0.1, 0.1).alpha
+    alpha = plan(n, Tolerance(0.1, 0.1)).dual.alpha
     assert round(100 * (1 - float(alpha)), 2) == coverage_pct
 
 
@@ -286,8 +286,9 @@ def test_alpha_equivalence_interval_shares_index():
         n = int(rng.integers(2, 300))
         eps = float(rng.uniform(0.05, 0.5))
         delta = float(rng.uniform(0.05, 0.5))
-        dual = alpha_given_tolerance(n, eps, delta)
-        if dual.full_set:
+        tol = plan(n, Tolerance(eps, delta))
+        dual = tol.dual
+        if tol.full_set:
             continue
         vals = rng.normal(size=n)
         scores = NonconformityScores(vals)
@@ -348,7 +349,7 @@ def test_levels_just_below_one_keep_a_rank(k):
     values = np.arange(1.0, 10.0)
     lam = q_hat(NonconformityScores(values), alpha).lambda_hat
     assert lam == 1.0
-    assert crc_lambda(Losses.zero_one(values), 1.0, alpha) == lam
+    assert crc_lambda(Losses.zero_one(values), alpha) == lam
 
 
 def test_plan_matches_calibrators():

@@ -7,14 +7,7 @@ import pytest
 
 from conformal_kit.calibration import NonconformityScores, p_hat, q_hat
 from conformal_kit.dists import binom_cdf
-from conformal_kit.risk import (
-    Losses,
-    PValueGrid,
-    crc_lambda,
-    ltt_fixed_sequence,
-    ltt_pvalues,
-    ucb_lambda,
-)
+from conformal_kit.risk import Losses, crc_lambda, ltt_lambda, ucb_lambda
 
 
 def test_zero_one_curve_shape():
@@ -32,23 +25,39 @@ def test_zero_one_curve_shape():
 
 def test_losses_validation():
     with pytest.raises(ValueError):
-        Losses(np.array([2.0, 1.0]), np.zeros(3), 1)
+        Losses(np.array([2.0, 1.0]), np.zeros(3), 1, bound=1.0)
     with pytest.raises(ValueError):
-        Losses(np.array([1.0, 2.0]), np.zeros(2), 1)
+        Losses(np.array([1.0, 2.0]), np.zeros(2), 1, bound=1.0)
     with pytest.raises(ValueError):
         Losses.zero_one([1.0, math.nan])
     with pytest.raises(ValueError):
-        Losses.steps([1.0], [0.0, 1.0])
+        Losses.steps([1.0], [0.0, 1.0], bound=1.0)
 
 
 def test_losses_rejects_bad_totals():
     with pytest.raises(ValueError, match="non-increasing"):
-        Losses(np.array([1.0, 2.0]), np.array([2.0, 0.0, 1.0]), 2)
+        Losses(np.array([1.0, 2.0]), np.array([2.0, 0.0, 1.0]), 2, bound=2.0)
     with pytest.raises(ValueError, match="NaN"):
-        Losses(np.array([1.0]), np.array([math.nan, 0.0]), 1)
+        Losses(np.array([1.0]), np.array([math.nan, 0.0]), 1, bound=1.0)
     # crc would trust bound 1.0 for a sum of 20 over 4 observations
     with pytest.raises(ValueError, match="bound"):
         Losses(np.array([1.0]), np.array([20.0, 0.0]), 4, bound=1.0)
+
+
+def test_losses_rejects_negative_totals():
+    # Hoeffding ucb would return 1.0 and crc at alpha = 1 would return -inf
+    with pytest.raises(ValueError, match="bound"):
+        Losses(np.array([1.0, 2.0]), np.array([0.0, -30.0, -40.0]), 4, bound=1.0)
+
+
+def test_losses_need_a_positive_finite_bound():
+    for bound in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bound"):
+            Losses(np.array([1.0]), np.array([0.0, 0.0]), 1, bound=bound)
+    with pytest.raises(TypeError):
+        Losses(np.array([1.0]), np.array([0.0, 0.0]), 1)
+    with pytest.raises(TypeError):
+        Losses.steps([1.0], [[0.0, 0.0]])
 
 
 def test_steps_rejects_nan_losses():
@@ -63,14 +72,25 @@ def test_steps_rejects_increasing_rows():
         Losses.steps([1.0, 2.0, 3.0], [[0, 0, 1, 0]] * 9 + [[0, 0, 0, 0]], bound=1.0)
     # a row that rises and falls back leaves the totals non-increasing
     with pytest.raises(ValueError, match="non-increasing"):
-        Losses.steps([1.0, 2.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        Losses.steps([1.0, 2.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], bound=1.0)
 
 
 def test_steps_rejects_losses_above_bound():
     # crc and hoeffding would both trust bound 1.0 and return 1.0
     with pytest.raises(ValueError, match="bound"):
         Losses.steps([1.0], [[5.0, 0.0]] * 4, bound=1.0)
-    assert Losses.steps([1.0], [[5.0, 0.0]] * 4).totals.tolist() == [20.0, 0.0]
+    assert Losses.steps([1.0], [[5.0, 0.0]] * 4, bound=5.0).totals.tolist() == [
+        20.0,
+        0.0,
+    ]
+
+
+def test_steps_rejects_negative_losses():
+    with pytest.raises(ValueError, match="bound"):
+        Losses.steps([1.0], [[-5.0, -6.0]] * 4, bound=1.0)
+    # a negative entry that leaves every total in [0, n B]
+    with pytest.raises(ValueError, match="bound"):
+        Losses.steps([1.0], [[0.5, -0.5], [0.5, 0.5]], bound=1.0)
 
 
 def test_steps_sum_exactly():
@@ -99,7 +119,7 @@ def test_crc_matches_quantile_rule():
         alpha = float(rng.uniform(0.01, 0.9))
         lam_q = q_hat(NonconformityScores(vals), alpha).lambda_hat
         losses = Losses.zero_one(vals)
-        lam_c = crc_lambda(losses, 1.0, alpha)
+        lam_c = crc_lambda(losses, alpha)
         mismatches += lam_c != lam_q
     assert mismatches == 0
 
@@ -112,7 +132,7 @@ def test_crc_matches_quantile_rule_on_level_boundaries():
     scores = NonconformityScores(np.arange(1.0, n + 1.0))
     for i in range(50, 201):
         alpha = float(f"0.{i:03d}")
-        assert crc_lambda(losses, 1.0, alpha) == q_hat(
+        assert crc_lambda(losses, alpha) == q_hat(
             scores, alpha
         ).lambda_hat, alpha
 
@@ -120,22 +140,17 @@ def test_crc_matches_quantile_rule_on_level_boundaries():
 def test_crc_validation():
     losses = Losses.zero_one([1.0])
     with pytest.raises(ValueError):
-        crc_lambda(losses, 0.0, 0.1)
+        crc_lambda(losses, 0.0)
     with pytest.raises(ValueError):
-        crc_lambda(losses, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        crc_lambda(losses, 1.0, 1.5)
-    fat = Losses.steps([], [[2.0]], bound=2.0)
-    with pytest.raises(ValueError):
-        crc_lambda(fat, 1.0, 0.5)
+        crc_lambda(losses, 1.5)
 
 
 def test_crc_domain_sentinels():
     losses = Losses.zero_one(range(1, 6))
     # alpha below B/(n+1): no threshold qualifies
-    assert crc_lambda(losses, 1.0, 0.1) == math.inf
+    assert crc_lambda(losses, 0.1) == math.inf
     # alpha = B: condition already holds at the bottom
-    assert crc_lambda(losses, 1.0, 1.0) == -math.inf
+    assert crc_lambda(losses, 1.0) == -math.inf
 
 
 def test_crc_fractional_losses_exact_boundary():
@@ -144,7 +159,7 @@ def test_crc_fractional_losses_exact_boundary():
         [0.0, 0.5, 1.0], [[1.0, 0.4, 0.4, 0.0], [0.9, 0.9, 0.1, 0.1]], bound=1.0
     )
     # sum at 0.5 is exactly alpha (n+1) - B: boundary must count as inside
-    lam = crc_lambda(losses, 1.0, 0.5)
+    lam = crc_lambda(losses, 0.5)
     assert lam == 0.5
 
 
@@ -155,7 +170,7 @@ def test_crc_expected_risk_sandwich():
     for _ in range(trials):
         u = rng.uniform(size=n)
         losses = Losses.zero_one(u)
-        lam = crc_lambda(losses, 1.0, alpha)
+        lam = crc_lambda(losses, alpha)
         risks.append(1.0 - lam)  # true miscoverage of U(0,1) at lam
     mean = float(np.mean(risks))
     se = float(np.std(risks)) / math.sqrt(trials)
@@ -173,9 +188,13 @@ def test_ucb_hoeffding_formula():
     assert ucb_lambda(losses, below, delta, method="hoeffding") == 36.0
     with pytest.raises(ValueError):
         ucb_lambda(losses, eps, 0.0, method="hoeffding")
-    weightless = Losses.steps([1.0], [[0.0, 0.0]], bound=0.0)
-    with pytest.raises(ValueError):
-        ucb_lambda(weightless, eps, delta, method="hoeffding")
+
+
+@pytest.mark.parametrize("method", ["exact-binomial", "hoeffding"])
+def test_ucb_rejects_nan_eps(method):
+    losses = Losses.zero_one(range(1, 51))
+    with pytest.raises(ValueError, match="eps"):
+        ucb_lambda(losses, math.nan, 0.1, method=method)
 
 
 def test_ucb_matches_tolerance_rule():
@@ -218,48 +237,44 @@ def test_ucb_method_validation():
     losses = Losses.zero_one([1.0])
     with pytest.raises(ValueError):
         ucb_lambda(losses, 0.1, 0.1, method="bootstrap")
-    unbounded = Losses.steps([1.0], [[0.0, 0.0]])
-    with pytest.raises(ValueError):
-        ucb_lambda(unbounded, 0.1, 0.1, method="hoeffding")
     half = Losses.steps([1.0], [[0.5, 0.5]] * 3, bound=1.0)
     with pytest.raises(ValueError):
         ucb_lambda(half, 0.1, 0.1)  # exact bound needs 0-1 losses
     with pytest.raises(ValueError):
-        ltt_pvalues([1.0], half, 0.1)
+        ltt_lambda(half, 0.1, 0.1, [1.0])
 
 
-def test_pvalue_grid_validation():
-    with pytest.raises(ValueError):
-        PValueGrid(np.array([1.0, 1.0]), np.array([0.1, 0.2]))
-    with pytest.raises(ValueError):
-        PValueGrid(np.array([1.0, 2.0]), np.array([0.1]))
-    with pytest.raises(ValueError):
-        PValueGrid(np.array([1.0, 2.0]), np.array([0.1, 1.2]))
+def test_ltt_lambda_validation():
+    losses = Losses.zero_one([1.0, 2.0])
+    for grid in ([1.0, 1.0], [2.0, 1.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            ltt_lambda(losses, 0.1, 0.1, grid)
     with pytest.raises(ValueError, match="ascending"):
-        PValueGrid(np.array([1.0, math.nan]), np.array([0.1, 0.2]))
-    # a NaN p-value would count as a rejection in the fixed-sequence walk
-    with pytest.raises(ValueError, match="p-values"):
-        PValueGrid(np.array([1.0, 2.0]), np.array([math.nan, math.nan]))
+        ltt_lambda(losses, 0.1, 0.1, [1.0, math.nan])
+    levels = [(0.0, 0.1), (1.0, 0.1), (math.nan, 0.1)]
+    levels += [(0.1, 0.0), (0.1, 1.0), (0.1, math.nan)]
+    for eps, delta in levels:
+        with pytest.raises(ValueError):
+            ltt_lambda(losses, eps, delta)
 
 
 def test_ltt_pvalues_spot_and_monotone():
-    losses = Losses.zero_one((1.0, 2.0, 3.0, 4.0))
-    grid = ltt_pvalues([0.5, 1.5, 2.5, 3.5, 4.5], losses, 0.3)
-    for lam, p in zip(grid.lambdas, grid.pvals):
-        count = sum(s > lam for s in (1.0, 2.0, 3.0, 4.0))
-        assert p == binom_cdf(count, 4, 0.3)
-    assert np.all(np.diff(grid.pvals) <= 0)
-
-
-def test_ltt_fixed_sequence_walk():
-    g = PValueGrid(
-        np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.02, 0.5, 0.05, 0.01])
-    )
-    # stops at 2.0 even though 1.0 would pass on its own
-    assert ltt_fixed_sequence(g, 0.1) == [3.0, 4.0]
-    assert ltt_fixed_sequence(g, 0.005) == []
-    boundary = PValueGrid(np.array([1.0]), np.array([0.1]))
-    assert ltt_fixed_sequence(boundary, 0.1) == [1.0]
+    # the walk keeps lam exactly when the p-values from lam up are within
+    # delta, so a delta on each p-value and one ulp below it pin the
+    # p-value to the bit; they fall along the grid
+    scores = (1.0, 2.0, 3.0, 4.0)
+    losses = Losses.zero_one(scores)
+    grid = [0.5, 1.5, 2.5, 3.5, 4.5]
+    pvals = [binom_cdf(sum(s > lam for s in scores), 4, 0.3) for lam in grid]
+    assert np.all(np.diff(pvals) <= 0)
+    for j, p in enumerate(pvals):
+        if p < 1.0:
+            above = grid[j + 1] if j + 1 < len(grid) else math.inf
+            assert ltt_lambda(losses, 0.3, p, grid) == grid[j]
+            assert ltt_lambda(losses, 0.3, math.nextafter(p, 0.0), grid) == above
+    # on the default grid, the breakpoints 1..4
+    assert ltt_lambda(losses, 0.3, pvals[-1]) == 4.0
+    assert ltt_lambda(losses, 0.3, math.nextafter(pvals[-1], 0.0)) == math.inf
 
 
 def test_ltt_selection_brackets_ucb():
@@ -273,11 +288,11 @@ def test_ltt_selection_brackets_ucb():
         lam_u = ucb_lambda(losses, eps, delta)
         grid = np.linspace(vals[0] - 0.5, vals[-1] + 0.5, 2001)
         step = grid[1] - grid[0]
-        kept = ltt_fixed_sequence(ltt_pvalues(grid, losses, eps), delta)
+        lam_l = ltt_lambda(losses, eps, delta, grid)
         if math.isinf(lam_u):
-            assert kept == []
+            assert lam_l == math.inf
         else:
-            assert lam_u <= kept[0] <= lam_u + step
+            assert lam_u <= lam_l <= lam_u + step
 
 
 def test_ltt_pvalues_super_uniform_at_null():
@@ -305,7 +320,8 @@ def test_ltt_fwer_simulation():
         # loss 1 below the grid, then 1{u_i < R(lam_j)} on each step
         steps = np.column_stack([np.ones(n), u[:, None] < risks])
         losses = Losses.steps(lam_grid, steps, bound=1.0)
-        kept = ltt_fixed_sequence(ltt_pvalues(lam_grid, losses, eps), delta)
+        # the walk keeps every grid point from the returned one up
+        kept = lam_grid[lam_grid >= ltt_lambda(losses, eps, delta, lam_grid)]
         chosen = {int(np.searchsorted(lam_grid, l)) for l in kept}
         hits += bool(chosen & bad)
     rate = hits / trials
