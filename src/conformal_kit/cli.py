@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -277,7 +278,10 @@ def cmd_verify(args) -> int:
     return 0 if payload["all_passed"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; the handlers only read the list defaults
+    # that every later call shares.
     parser = argparse.ArgumentParser(
         prog="conformal-kit",
         description=(

@@ -14,7 +14,10 @@ The binomial inversions ``binom_sup_k`` (in k) and ``binom_inf_p`` (in p)
 are bisections on the exact CDF.  Each starts from a certified bracket:
 scipy's continuous inversion (``bdtrik``, ``betaincinv``) gives a guess,
 and an end beside it counts once the exact CDF there clears the level by
-the relative ``_MARGIN``, far above the CDF's own error.  The CDF is
+the relative ``_MARGIN``, far above the CDF's own error.  For p the first
+ends tried sit as close to the guess as the CDF's slope allows (its normal
+approximation puts about two margins between guess and end), so the
+bracket is narrower the larger n is.  The CDF is
 monotone, so every probe beyond a certified end has that end's outcome
 and skips the CDF; only probes inside the bracket evaluate it, near the
 root, where its chains are short.  The probe sequence and the result are
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 from scipy.special import bdtrik as _bdtrik
@@ -63,6 +67,7 @@ _BISECT_MAX_ITER = 1100
 # certified end then has the outcome its own evaluation would give.
 _MARGIN = 1e-9
 _GUESS_STEPS = (1e-9, 1e-6, 1e-3)
+_STD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -280,18 +285,37 @@ def binom_sup_k(n, eps: float, delta: float) -> SupKResult:
     return SupKResult(lo)
 
 
+def _inf_p_slope(n: int, delta: float, g: float) -> float:
+    """Normal-approximation slope of -ln Bin(k; n, p) in ln p at p = g.
+
+    With z = Phi^-1(delta), the CDF near its root g behaves like
+    Phi(z - (p - g) sqrt(n / (g (1 - g)))), whose log moves at the rate
+    sqrt(n g / (1 - g)) phi(z) / delta per unit of ln p.
+    """
+    z = _STD_NORMAL.inv_cdf(delta)
+    return math.sqrt(n * g / (1.0 - g)) * _STD_NORMAL.pdf(z) / delta
+
+
 def _inf_p_bracket(k: int, n: int, delta: float) -> tuple[float, float]:
     """Certified ends (a, b): every p <= a misses delta, every p >= b meets it.
 
-    The ends are tried at a relative step 1e-9, 1e-6, then 1e-3 either side
-    of scipy's ``betaincinv`` root (``bdtri`` is NaN for n >= 10^12); one
-    that fails to certify stays at 0 or 1, which certifies nothing.
+    The ends are tried at relative steps either side of scipy's
+    ``betaincinv`` root (``bdtri`` is NaN for n >= 10^12): first at the
+    step over which ``_inf_p_slope`` puts two margins of CDF change, when
+    that step is below 1e-9, then at 1e-9, 1e-6 and 1e-3.  The narrower the
+    bracket, the fewer bisection probes call the CDF.  A wrong slope only
+    costs calls, since every end is certified by the exact CDF; one that
+    fails at every step stays at 0 or 1, which certifies nothing.
     """
     a, b = 0.0, 1.0
     g = float(_betaincinv(k + 1, n - k, 1.0 - delta))
     if not 0.0 < g < 1.0:
         return a, b
-    for r in _GUESS_STEPS:
+    steps = _GUESS_STEPS
+    slope = _inf_p_slope(n, delta, g)
+    if slope * _GUESS_STEPS[0] > 2.0 * _MARGIN:
+        steps = (2.0 * _MARGIN / slope, *_GUESS_STEPS)
+    for r in steps:
         lo, hi = g * (1.0 - r), g * (1.0 + r)
         if a == 0.0 and binom_cdf(k, n, lo) > delta * (1.0 + _MARGIN):
             a = lo

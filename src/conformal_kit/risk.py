@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._rational import as_fraction, on_grid
-from .dists import _check_prob, binom_cdf, binom_inf_p
+from .dists import _check_prob, _check_trials, binom_cdf, binom_inf_p
 
 __all__ = ["Losses", "crc_lambda", "ucb_lambda", "ltt_lambda"]
 
@@ -79,16 +79,19 @@ class Losses:
             raise ValueError("lambdas must be strictly ascending")
         if np.isnan(tot).any() or np.any(np.diff(tot) > 0):
             raise ValueError("totals must be non-increasing and not NaN")
-        if self.n < 1:
-            raise ValueError("need at least one observation")
+        try:
+            n = _check_trials("n", self.n)
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
         bound = float(self.bound)
         if not 0 < bound < math.inf:
             raise ValueError(f"loss bound must be positive and finite, got {bound}")
         # the sums of losses in [0, B] lie in [0, n B]
-        if not (tot[-1] >= 0 and tot[0] <= self.n * bound):
+        if not (tot[-1] >= 0 and tot[0] <= n * bound):
             raise ValueError(f"totals must lie in [0, n B] for the bound B={bound}")
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "totals", tot)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "bound", bound)
 
     @classmethod

@@ -193,6 +193,16 @@ def test_tables_custom_sizes(capsys):
     assert "n = 100000" not in out
 
 
+def test_cached_parser_keeps_its_defaults(capsys):
+    # the parser is built once per process, so its list defaults are shared
+    cli._build_parser.cache_clear()
+    code, first, _ = run(capsys, "tables", "--levels", "0.1")
+    assert code == 0 and first.count("n = ") == 8
+    run(capsys, "tables", "--n", "100", "--levels", "0.1")
+    code, again, _ = run(capsys, "tables", "--levels", "0.1")
+    assert code == 0 and again == first
+
+
 def test_import_leaves_scipy_spatial_unloaded():
     # only the k-NN predictor needs scipy.spatial; calibrate and tables
     # should not pay for importing it

@@ -238,11 +238,17 @@ def test_inversions_replay_plain_bisection_near_a_million(n, data):
     _assert_inversions_match_bisection(n, data)
 
 
-@pytest.mark.parametrize("sigmas", [math.nan, 10.0, -10.0])
-def test_inversions_without_a_usable_guess(monkeypatch, sigmas):
+@pytest.mark.parametrize(
+    "sigmas, slope_scale",
+    [(math.nan, 1.0), (10.0, 1.0), (-10.0, 1.0), (0.0, 1e-6), (0.0, 1e6)],
+    ids=["nan", "10.0", "-10.0", "slope-1e-06", "slope-1e+06"],
+)
+def test_inversions_without_a_usable_guess(monkeypatch, sigmas, slope_scale):
     # a NaN guess certifies no end; one 10 sigma off certifies at most the
-    # end on its own side of the root
+    # end on its own side of the root; a slope 10^6 too small skips the
+    # slope-sized step, one 10^6 too large certifies no end at it
     bdtrik, betaincinv = dists._bdtrik, dists._betaincinv
+    slope = dists._inf_p_slope
     monkeypatch.setattr(
         dists,
         "_bdtrik",
@@ -254,6 +260,9 @@ def test_inversions_without_a_usable_guess(monkeypatch, sigmas):
         return g + sigmas * math.sqrt(g * (1 - g) / (a + b - 1))
 
     monkeypatch.setattr(dists, "_betaincinv", off_betaincinv)
+    monkeypatch.setattr(
+        dists, "_inf_p_slope", lambda n, delta, g: slope_scale * slope(n, delta, g)
+    )
     for n, eps, delta, k in [
         (1, 0.5, 0.3, 0),
         (100, 0.1, 0.1, 9),
@@ -266,7 +275,8 @@ def test_inversions_without_a_usable_guess(monkeypatch, sigmas):
         assert _bits(got) == _bits(binom_inf_p_bisect(k, n, delta))
 
 
-def test_tables_probe_binom_cdf_only_near_the_roots(monkeypatch, capsys):
+@pytest.fixture
+def cdf_calls(monkeypatch):
     calls = []
     real = dists.binom_cdf
 
@@ -275,10 +285,23 @@ def test_tables_probe_binom_cdf_only_near_the_roots(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(dists, "binom_cdf", counted)
+    return calls
+
+
+def test_tables_probe_binom_cdf_only_near_the_roots(cdf_calls, capsys):
     assert cli.main(["tables", "--n", "1000003", "--levels", "0.1"]) == 0
     capsys.readouterr()
-    # a plain bisection over [0, n] and [0, 1] makes 77 calls here
-    assert 0 < len(calls) < 40
+    # a plain bisection over [0, n] and [0, 1] makes 77 calls here, and
+    # one bracketed at a fixed 1e-9 step around the inf-p guess 31
+    assert 0 < len(cdf_calls) <= 24
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_binom_inf_p_brackets_at_the_slope_step(cdf_calls, n):
+    k = math.floor(0.1 * (n + 1) - 1)
+    p = binom_inf_p(k, n, 0.1)
+    assert len(cdf_calls) <= 20  # 27 with the bracket at the fixed 1e-9 step
+    assert binom_cdf(k, n, p) <= 0.1 < binom_cdf(k, n, np.nextafter(p, 0.0))
 
 
 @pytest.mark.parametrize("digits", [15, 50, 100, 300])

@@ -50,6 +50,15 @@ def test_losses_rejects_negative_totals():
         Losses(np.array([1.0, 2.0]), np.array([0.0, -30.0, -40.0]), 4, bound=1.0)
 
 
+def test_losses_need_an_integer_count():
+    # crc returned -inf and Hoeffding ucb inf on n = 2.5
+    for n in (2.5, 0):
+        with pytest.raises(ValueError, match="n must"):
+            Losses(np.array([1.0]), np.array([2.0, 0.0]), n, bound=1.0)
+    losses = Losses(np.array([1.0]), np.array([2.0, 0.0]), np.int64(3), bound=1.0)
+    assert type(losses.n) is int
+
+
 def test_losses_need_a_positive_finite_bound():
     for bound in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="bound"):
