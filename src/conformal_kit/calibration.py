@@ -20,7 +20,6 @@ ulp off a grid point would silently shift the selected rank.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +48,6 @@ __all__ = [
     "plan",
     "q_hat",
     "p_hat",
-    "calibrate",
     "tolerance_delta_given_alpha",
     "tolerance_eps_given_alpha",
     "marginal_bounds",
@@ -204,10 +202,6 @@ class CalibrationResult(CalibrationPlan):
     lambda_hat: float
 
 
-# Distinct (n, target) pairs kept; a harness run needs a handful.
-_PLAN_CACHE_SIZE = 256
-
-
 def plan(n, target) -> CalibrationPlan:
     """The order statistic, coverage law, dual and bounds of (n, target).
 
@@ -216,7 +210,8 @@ def plan(n, target) -> CalibrationPlan:
     n - k* with k* = sup{k : Bin(k; n, eps) <= delta} for
     Tolerance(eps, delta), and n + 1 (the full label space) when that
     rank exceeds n or the sup is over an empty set.  None of it depends
-    on the scores, so results are memoized per (n, target).
+    on the scores, so a caller calibrating many score sets of one size
+    plans once.
 
     Examples
     --------
@@ -225,21 +220,14 @@ def plan(n, target) -> CalibrationPlan:
     >>> plan(9, Marginal(0.05)).full_set
     True
     """
-    # Marginal(0.1) == Marginal(Fraction(0.1)), but only the float moves
-    # onto the level grid, so the level's type is part of the cache key.
-    return _plan(_check_trials("n", n), target, type(getattr(target, "alpha", None)))
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(n: int, target, _level_type) -> CalibrationPlan:
+    n = _check_trials("n", n)
     if isinstance(target, Marginal):
         # the threshold is the j-th largest score, +inf when j = 0
         j = math.floor(on_grid(target.alpha, n + 1) * (n + 1))
         dual = DualTolerance(delta_min=None, eps_min=None)
         bounds = marginal_bounds(n, target.alpha)
     elif isinstance(target, Tolerance):
-        sup = binom_sup_k(n, target.eps, target.delta)
-        j = 0 if sup.infeasible else sup.value + 1
+        j = binom_sup_k(n, target.eps, target.delta) + 1
         # an infeasible pair reports the limiting level 1/(n + 1)
         dual = DualAlpha(
             alpha=Fraction(max(j, 1), n + 1),
@@ -380,9 +368,4 @@ def p_hat(scores: NonconformityScores, eps: float, delta: float) -> CalibrationR
     Fraction(8, 91)
     """
     return _calibrated(scores, plan(scores.n, Tolerance(eps, delta)))
-
-
-def calibrate(scores: NonconformityScores, target) -> CalibrationResult:
-    """Calibrate at a Marginal or Tolerance target, as q_hat or p_hat would."""
-    return _calibrated(scores, plan(scores.n, target))
 

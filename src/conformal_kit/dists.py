@@ -11,21 +11,21 @@ regularized incomplete beta function comes from scipy, which evaluates the
 standard continued fraction.
 
 The binomial inversions ``binom_sup_k`` (in k) and ``binom_inf_p`` (in p)
-are bisections on the exact CDF.  Each starts from a certified bracket:
-scipy's continuous inversion (``bdtrik``, ``betaincinv``) gives a guess,
-and an end beside it counts once the exact CDF there clears the level by
-the relative ``_MARGIN``, far above the CDF's own error.  For p the first
+are one bracketed bisection on the exact CDF, ``_boundary``.  scipy's
+continuous inversion (``bdtrik``, ``betainccinv``) gives a guess, and an
+end beside it counts once the exact CDF there clears the level by the
+relative ``_MARGIN``, far above the CDF's own error.  For p the first
 ends tried sit as close to the guess as the CDF's slope allows (its normal
 approximation puts about two margins between guess and end), so the
-bracket is narrower the larger n is.  The CDF is
-monotone, so every probe beyond a certified end has that end's outcome
-and skips the CDF; only probes inside the bracket evaluate it, near the
-root, where its chains are short.  The probe sequence and the result are
-those of the plain bisection, bit for bit; an end that fails to certify,
-or a guess that is not finite, leaves that side to the plain bisection.
+bracket is narrower the larger n is.  The CDF is monotone, so every probe
+beyond a certified end has that end's outcome and skips the CDF; only
+probes inside the bracket evaluate it, near the root, where its chains
+are short.  The probe sequence and the result are those of the plain
+bisection, bit for bit; an end that fails to certify, or a guess that is
+not finite, leaves that side to the plain bisection.
 
 Integer inversions follow the lower quantile convention throughout: the
-largest k whose CDF does not exceed the level.
+largest k whose CDF does not exceed the level, -1 when there is none.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from statistics import NormalDist
 import numpy as np
 from scipy.special import bdtrik as _bdtrik
 from scipy.special import betainc as _scipy_betainc
-from scipy.special import betaincinv as _betaincinv
+from scipy.special import betainccinv as _betainccinv
 
 __all__ = [
     "BetaParams",
     "BetaBinParams",
-    "SupKResult",
     "binom_cdf",
     "binom_sup_k",
     "binom_inf_p",
@@ -59,7 +58,8 @@ _WINDOW_SIGMAS = 12.0
 _WINDOW_PAD = 64
 
 # Enough halvings of [0, 1] to reach adjacent doubles anywhere in it,
-# subnormals included; running out raises instead of returning early.
+# subnormals included, and of any count range binom_cdf can evaluate;
+# running out raises instead of returning early.
 _BISECT_MAX_ITER = 1100
 
 # A bracket end is certified when its exact CDF clears the level by this
@@ -115,23 +115,6 @@ class BetaBinParams:
             raise ValueError(
                 f"beta shapes must be positive, got a={self.a}, b={self.b}"
             )
-
-
-@dataclass(frozen=True)
-class SupKResult:
-    """Outcome of the integer inversion sup{k : Bin(k; n, eps) <= delta}.
-
-    ``value`` is None exactly when no k in {0..n} meets the bound, i.e.
-    when already (1 - eps)^n > delta.  Callers map that to the degenerate
-    full-set calibration; collapsing it to k = 0 would silently weaken the
-    guarantee.
-    """
-
-    value: int | None
-
-    @property
-    def infeasible(self) -> bool:
-        return self.value is None
 
 
 def _check_prob(name: str, x: float, *, open_interval: bool = False) -> float:
@@ -233,56 +216,69 @@ def binom_cdf(k, n, p: float) -> float:
     return float((total - upper) / total)
 
 
-def _sup_k_bracket(n: int, eps: float, delta: float) -> tuple[int, int]:
-    """Certified ends (a, b): every k <= a meets delta, every k >= b does not.
+def _boundary(lo, hi, half, ok, ends):
+    """Final bracket (lo, hi) of a bisection for the change of ``ok``.
 
-    The ends sit one count beyond scipy's ``bdtrik`` guess either way; one
-    that fails to certify stays at -1 or n, which certifies nothing.
+    ``ok(x, s)`` is monotone in x, false at ``lo`` and true at ``hi``
+    (neither end is evaluated); ``s`` is a relative slack on the level,
+    so that ``ok`` is harder to hold at s > 0.  Each (x, y) in ``ends`` is
+    a pair of bracket ends beside a guess, tried in turn until one of each
+    certifies: x once ``ok`` fails there at slack -``_MARGIN``, y once it
+    holds at +``_MARGIN``.  Bisection by ``half`` then starts from
+    (lo, hi), as the plain search does, and a probe beyond a certified end
+    takes that end's outcome without calling ``ok``.  It stops when
+    ``half`` returns an end, i.e. at adjacent points, and raises
+    ArithmeticError if ``_BISECT_MAX_ITER`` halvings do not get there.
     """
-    a, b = -1, n
-    g = float(_bdtrik(delta, n, eps))
-    if math.isfinite(g):
-        ga = min(max(math.floor(g) - 1, 0), n)
-        gb = min(max(math.ceil(g) + 1, 0), n)
-        if binom_cdf(ga, n, eps) <= delta * (1.0 - _MARGIN):
-            a = ga
-        if binom_cdf(gb, n, eps) > delta * (1.0 + _MARGIN):
-            b = gb
-    return a, b
+    a, b = lo, hi
+    for x, y in ends:
+        if a == lo and lo < x < hi and not ok(x, -_MARGIN):
+            a = x
+        if b == hi and lo < y < hi and ok(y, _MARGIN):
+            b = y
+    for _ in range(_BISECT_MAX_ITER):
+        mid = half(lo, hi)
+        if mid == lo or mid == hi:
+            return lo, hi
+        if mid >= b or (mid > a and ok(mid, 0.0)):
+            hi = mid
+        else:
+            lo = mid
+    raise ArithmeticError(
+        f"bisection did not reach adjacent points in {_BISECT_MAX_ITER} halvings"
+    )
 
 
-def binom_sup_k(n, eps: float, delta: float) -> SupKResult:
-    """Largest k in {0..n} with Bin(k; n, eps) <= delta.
+def binom_sup_k(n, eps: float, delta: float) -> int:
+    """Largest k in {0..n} with Bin(k; n, eps) <= delta, -1 if there is none.
 
-    Monotone binary search over k; the CDF is non-decreasing in k, so the
-    bracket invariant is exact.  Returns an infeasible result when even
-    k = 0 exceeds delta, which happens iff (1 - eps)^n > delta.
-
-    Probes outside the certified bracket of ``_sup_k_bracket`` take its
-    ends' outcomes, so only probes near the root call ``binom_cdf``; the
-    result is the plain search's (see the module docstring).
+    The CDF is non-decreasing in k, so a binary search over (-1, n] finds
+    the last k that meets delta.  It returns -1 exactly when even k = 0
+    exceeds delta, i.e. (1 - eps)^n > delta; callers map that to the
+    degenerate full-set calibration, since collapsing it to k = 0 would
+    silently weaken the guarantee.  The bracket ends sit one count beyond
+    scipy's ``bdtrik`` guess either way (see the module docstring).
 
     Examples
     --------
-    >>> binom_sup_k(1000, 0.1, 0.1).value
+    >>> binom_sup_k(1000, 0.1, 0.1)
     87
-    >>> binom_sup_k(100, 0.001, 0.1).infeasible
-    True
+    >>> binom_sup_k(100, 0.001, 0.1)
+    -1
     """
     n = _check_trials("n", n)
     eps = _check_prob("eps", eps, open_interval=True)
     delta = _check_prob("delta", delta, open_interval=True)
-    a, b = _sup_k_bracket(n, eps, delta)
-    if a < 0 and binom_cdf(0, n, eps) > delta:
-        return SupKResult(None)
-    lo, hi = 0, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid <= a or (mid < b and binom_cdf(mid, n, eps) <= delta):
-            lo = mid
-        else:
-            hi = mid
-    return SupKResult(lo)
+    g = float(_bdtrik(delta, n, eps))
+    ends = [(math.floor(g) - 1, math.ceil(g) + 1)] if math.isfinite(g) else []
+    lo, _ = _boundary(
+        -1,
+        n,
+        lambda lo, hi: (lo + hi) // 2,
+        lambda k, s: binom_cdf(k, n, eps) > delta * (1.0 + s),
+        ends,
+    )
+    return lo
 
 
 def _inf_p_slope(n: int, delta: float, g: float) -> float:
@@ -296,47 +292,21 @@ def _inf_p_slope(n: int, delta: float, g: float) -> float:
     return math.sqrt(n * g / (1.0 - g)) * _STD_NORMAL.pdf(z) / delta
 
 
-def _inf_p_bracket(k: int, n: int, delta: float) -> tuple[float, float]:
-    """Certified ends (a, b): every p <= a misses delta, every p >= b meets it.
-
-    The ends are tried at relative steps either side of scipy's
-    ``betaincinv`` root (``bdtri`` is NaN for n >= 10^12): first at the
-    step over which ``_inf_p_slope`` puts two margins of CDF change, when
-    that step is below 1e-9, then at 1e-9, 1e-6 and 1e-3.  The narrower the
-    bracket, the fewer bisection probes call the CDF.  A wrong slope only
-    costs calls, since every end is certified by the exact CDF; one that
-    fails at every step stays at 0 or 1, which certifies nothing.
-    """
-    a, b = 0.0, 1.0
-    g = float(_betaincinv(k + 1, n - k, 1.0 - delta))
-    if not 0.0 < g < 1.0:
-        return a, b
-    steps = _GUESS_STEPS
-    slope = _inf_p_slope(n, delta, g)
-    if slope * _GUESS_STEPS[0] > 2.0 * _MARGIN:
-        steps = (2.0 * _MARGIN / slope, *_GUESS_STEPS)
-    for r in steps:
-        lo, hi = g * (1.0 - r), g * (1.0 + r)
-        if a == 0.0 and binom_cdf(k, n, lo) > delta * (1.0 + _MARGIN):
-            a = lo
-        if b == 1.0 and hi < 1.0 and binom_cdf(k, n, hi) <= delta * (1.0 - _MARGIN):
-            b = hi
-    return a, b
-
-
 def binom_inf_p(k, n, delta: float) -> float:
     """Smallest p with Bin(k; n, p) <= delta.
 
     The CDF decreases strictly in p for 0 <= k < n, so the infimum is the
-    unique root of Bin(k; n, p) = delta, located by bisection on [0, 1]
+    unique root of Bin(k; n, p) = delta, located by bisection on (0, 1]
     and returned from the admissible (upper) side of the final bracket.
     k < 0 gives 0 (the CDF is identically zero) and k >= n gives 1 (the
     CDF is identically one, so only the limit qualifies).
 
-    Probes outside the certified bracket of ``_inf_p_bracket`` take its
-    ends' outcomes, so only probes near the root call ``binom_cdf``; the
-    result is the plain bisection's (see the module docstring).  Raises
-    ArithmeticError if ``_BISECT_MAX_ITER`` halvings do not reach
+    The bracket ends sit at relative steps either side of scipy's
+    ``betainccinv`` root (``bdtri`` is NaN for n >= 10^12): first at the
+    step over which ``_inf_p_slope`` puts two margins of CDF change, when
+    that step is below 1e-9, then at 1e-9, 1e-6 and 1e-3.  A wrong slope
+    only costs calls, since every end is certified by the exact CDF.
+    Raises ArithmeticError if ``_BISECT_MAX_ITER`` halvings do not reach
     adjacent doubles.
 
     Examples
@@ -353,20 +323,22 @@ def binom_inf_p(k, n, delta: float) -> float:
         return 0.0
     if k >= n:
         return 1.0
-    a, b = _inf_p_bracket(k, n, delta)
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        if mid >= b or (mid > a and binom_cdf(k, n, mid) <= delta):
-            hi = mid
-        else:
-            lo = mid
-    raise ArithmeticError(
-        f"binom_inf_p({k}, {n}, {delta}) did not converge in"
-        f" {_BISECT_MAX_ITER} halvings"
+    g = float(_betainccinv(k + 1, n - k, delta))
+    ends = []
+    if 0.0 < g < 1.0:
+        steps = _GUESS_STEPS
+        slope = _inf_p_slope(n, delta, g)
+        if slope * _GUESS_STEPS[0] > 2.0 * _MARGIN:
+            steps = (2.0 * _MARGIN / slope, *_GUESS_STEPS)
+        ends = [(g * (1.0 - r), g * (1.0 + r)) for r in steps]
+    _, hi = _boundary(
+        0.0,
+        1.0,
+        lambda lo, hi: 0.5 * (lo + hi),
+        lambda p, s: binom_cdf(k, n, p) <= delta * (1.0 - s),
+        ends,
     )
+    return hi
 
 
 def beta_reg(x: float, params: BetaParams) -> float:

@@ -33,7 +33,6 @@ from ._rational import on_grid
 from .calibration import (
     Marginal,
     NonconformityScores,
-    calibrate,
     plan,
     tolerance_eps_given_alpha,
 )
@@ -291,7 +290,8 @@ def run_trials(
     """Repeated random calibration/test splits of a held-out pool.
 
     The base predictor is evaluated on the pool once, and the pool's
-    scores and interval widths with it; each trial then permutes the pool
+    scores and interval widths with it, and the rank to select is planned
+    once for n and the target; each trial then permutes the pool
     with its own seed stream (derived from the master seed and the trial
     index), calibrates on the first n scores and evaluates coverage and
     mean interval length on the next n_test.
@@ -331,6 +331,7 @@ def run_trials(
     hi = np.asarray(hi, dtype=float)
     scores = _cqr_scores(lo, hi, pool.labels)
     widths = hi - lo
+    rank = plan(n, target).order_index
 
     reports = []
     for j in range(R):
@@ -340,7 +341,7 @@ def run_trials(
         perm = rng.permutation(scores.size)
         cal = perm[:n]
         test = perm[n : n + n_test]
-        lam = calibrate(NonconformityScores(scores[cal]), target).lambda_hat
+        lam = NonconformityScores(scores[cal]).order_stat(rank)
         reports.append(
             TrialReport(
                 trial_index=j,
@@ -460,8 +461,7 @@ def tolerance_tables(n_values=_TABLE_N, levels=_TABLE_LEVELS) -> tuple[str, str]
         return "\n".join(lines) + "\n"
 
     def count_cell(n: int, eps: float, delta: float) -> str:
-        sup = binom_sup_k(n, eps, delta)
-        return str(0 if sup.infeasible else sup.value)
+        return str(max(binom_sup_k(n, eps, delta), 0))
 
     def eps_cell(n: int, alpha: float, delta: float) -> str:
         return _pct_floor4(tolerance_eps_given_alpha(n, alpha, delta))

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._rational import on_grid
-from .calibration import Marginal, NonconformityScores, calibrate
+from .calibration import Marginal, NonconformityScores, plan
 
 __all__ = [
     "IntervalPredictor",
@@ -286,6 +286,8 @@ def tune_nominal_quantiles(
     for lo_level, hi_level in candidates:
         cfg = KnnQuantileConfig(k=k, lo_level=lo_level, hi_level=hi_level)
         orders.append((_order_index(cfg.lo_level, k), _order_index(cfg.hi_level, k)))
+    # The selected rank depends only on the fold size, of which there are two at most.
+    ranks = {size: plan(size, target).order_index for size in {p.size for p in parts}}
     held_out = []
     for held in parts:
         fit_x, fit_y = np.delete(features, held, axis=0), np.delete(labels, held)
@@ -296,8 +298,8 @@ def tune_nominal_quantiles(
         fold_lengths = []
         for neigh, y in held_out:
             lo, hi = neigh[:, i_lo], neigh[:, i_hi]
-            result = calibrate(NonconformityScores(_cqr_scores(lo, hi, y)), target)
-            lengths = _cqr_lengths(hi - lo, result.lambda_hat)
+            scores = NonconformityScores(_cqr_scores(lo, hi, y))
+            lengths = _cqr_lengths(hi - lo, scores.order_stat(ranks[y.size]))
             fold_lengths.append(float(np.mean(lengths)))
         means.append(sum(fold_lengths) / folds)
     means = np.asarray(means)

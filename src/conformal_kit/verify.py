@@ -278,8 +278,7 @@ def superuniform_suite(trials: int = 2000, seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
 
     counts = rng.binomial(n, eps, size=trials)
-    pvals = np.array([binom_cdf(c, n, eps) for c in np.sort(np.unique(counts))])
-    pmap = dict(zip(np.sort(np.unique(counts)), pvals))
+    pmap = {c: binom_cdf(c, n, eps) for c in np.unique(counts)}
     sample = np.array([pmap[c] for c in counts])
     grid_u = np.arange(0.01, 1.0, 0.01)
     slack_u = 3.0 * np.sqrt(grid_u * (1.0 - grid_u) / trials)

@@ -23,8 +23,8 @@ from math import comb
 import mpmath
 import numpy as np
 
-from conformal_kit.calibration import NonconformityScores, calibrate
-from conformal_kit.dists import SupKResult, binom_cdf
+from conformal_kit.calibration import NonconformityScores, plan
+from conformal_kit.dists import binom_cdf
 from conformal_kit.experiments import Dataset, TrialReport
 from conformal_kit.predictors import KnnQuantileConfig, fit_knn_quantile
 
@@ -141,10 +141,10 @@ def beta_cdf_mp(x, a, b, dps: int = 40) -> mpmath.mpf:
         return mpmath.betainc(a, b, 0, mpmath.mpf(x), regularized=True)
 
 
-def binom_sup_k_bisect(n: int, eps: float, delta: float) -> SupKResult:
+def binom_sup_k_bisect(n: int, eps: float, delta: float) -> int:
     """``binom_sup_k`` as a plain bisection that calls binom_cdf at every probe."""
     if binom_cdf(0, n, eps) > delta:
-        return SupKResult(None)
+        return -1
     lo, hi = 0, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -152,7 +152,7 @@ def binom_sup_k_bisect(n: int, eps: float, delta: float) -> SupKResult:
             lo = mid
         else:
             hi = mid
-    return SupKResult(lo)
+    return lo
 
 
 def binom_inf_p_bisect(k: int, n: int, delta: float) -> float:
@@ -228,8 +228,9 @@ def tune_per_fit(train, candidates, target, folds: int, k: int, seed: int):
             pred = fit_knn_quantile(Dataset(features[mask], labels[mask]), cfg)
             lo, hi = pred.predict(features[held])
             scores = np.maximum(lo - labels[held], labels[held] - hi)
-            result = calibrate(NonconformityScores(scores), target)
-            lengths = np.maximum(0.0, (hi - lo) + 2.0 * result.lambda_hat)
+            rank = plan(held.size, target).order_index
+            lam = NonconformityScores(scores).order_stat(rank)
+            lengths = np.maximum(0.0, (hi - lo) + 2.0 * lam)
             fold_lengths.append(float(np.mean(lengths)))
         means.append(sum(fold_lengths) / folds)
     means = np.asarray(means)
@@ -249,7 +250,8 @@ def trials_per_gather(base, pool, n, n_test, R, target, master_seed):
         cal = perm[:n]
         test = perm[n : n + n_test]
         cal_scores = np.maximum(lo[cal] - labels[cal], labels[cal] - hi[cal])
-        lam = calibrate(NonconformityScores(cal_scores), target).lambda_hat
+        rank = plan(n, target).order_index
+        lam = NonconformityScores(cal_scores).order_stat(rank)
         test_scores = np.maximum(lo[test] - labels[test], labels[test] - hi[test])
         lengths = np.maximum(0.0, (hi[test] - lo[test]) + 2.0 * lam)
         reports.append(

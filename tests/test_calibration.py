@@ -15,7 +15,6 @@ from conformal_kit.calibration import (
     Marginal,
     NonconformityScores,
     Tolerance,
-    calibrate,
     marginal_bounds,
     p_hat,
     plan,
@@ -135,16 +134,6 @@ def test_p_hat_matches_rank_oracle():
             assert res.lambda_hat == sort_scores(vals)[n - k - 1]
 
 
-def test_calibrate_dispatch():
-    scores = NonconformityScores(np.arange(1.0, 11.0))
-    assert calibrate(scores, Marginal(0.2)).order_index == 9
-    assert calibrate(scores, Tolerance(0.3, 0.2)).lambda_hat == q_hat(
-        scores, plan(10, Tolerance(0.3, 0.2)).dual.alpha
-    ).lambda_hat
-    with pytest.raises(TypeError):
-        calibrate(scores, 0.1)
-
-
 def test_guarantee_validation():
     with pytest.raises(ValueError):
         Marginal(0.0)
@@ -154,6 +143,8 @@ def test_guarantee_validation():
         Tolerance(0.1, 0.0)
     with pytest.raises(ValueError):
         Tolerance(1.2, 0.1)
+    with pytest.raises(TypeError):
+        plan(10, 0.1)
 
 
 def test_delta_given_alpha_values():

@@ -144,12 +144,11 @@ def test_binom_cdf_monotone_in_k_and_p():
 
 
 def test_binom_sup_k_known_values():
-    assert binom_sup_k(1000, 0.1, 0.1).value == 87
-    assert binom_sup_k(100, 0.1, 0.1).value == 5
-    assert binom_sup_k(10000, 0.01, 0.05).value == 83
-    assert binom_sup_k(100000, 0.001, 0.001).value == 70
-    assert binom_sup_k(100, 0.001, 0.1).infeasible
-    assert binom_sup_k(100, 0.001, 0.1).value is None
+    assert binom_sup_k(1000, 0.1, 0.1) == 87
+    assert binom_sup_k(100, 0.1, 0.1) == 5
+    assert binom_sup_k(10000, 0.01, 0.05) == 83
+    assert binom_sup_k(100000, 0.001, 0.001) == 70
+    assert binom_sup_k(100, 0.001, 0.1) == -1
 
 
 def test_binom_sup_k_brackets_delta():
@@ -161,9 +160,9 @@ def test_binom_sup_k_brackets_delta():
         got = binom_sup_k(n, float(eps), float(delta))
         want = binom_sup_k_exact(n, eps, delta)
         if want is None:
-            assert got.infeasible
+            assert got == -1
         else:
-            assert got.value == want
+            assert got == want
             assert binom_cdf(want, n, float(eps)) <= float(delta)
             if want < n:
                 assert binom_cdf(want + 1, n, float(eps)) > float(delta)
@@ -171,7 +170,7 @@ def test_binom_sup_k_brackets_delta():
 
 def test_binom_sup_k_infeasible_iff_zero_count_fails():
     for n, eps, delta in [(50, 0.02, 0.3), (200, 0.05, 0.001), (10, 0.3, 0.01)]:
-        infeasible = binom_sup_k(n, eps, delta).infeasible
+        infeasible = binom_sup_k(n, eps, delta) == -1
         assert infeasible == ((1 - eps) ** n > delta)
 
 
@@ -247,7 +246,7 @@ def test_inversions_without_a_usable_guess(monkeypatch, sigmas, slope_scale):
     # a NaN guess certifies no end; one 10 sigma off certifies at most the
     # end on its own side of the root; a slope 10^6 too small skips the
     # slope-sized step, one 10^6 too large certifies no end at it
-    bdtrik, betaincinv = dists._bdtrik, dists._betaincinv
+    bdtrik, betainccinv = dists._bdtrik, dists._betainccinv
     slope = dists._inf_p_slope
     monkeypatch.setattr(
         dists,
@@ -255,11 +254,11 @@ def test_inversions_without_a_usable_guess(monkeypatch, sigmas, slope_scale):
         lambda y, n, p: bdtrik(y, n, p) + sigmas * math.sqrt(n * p * (1 - p)),
     )
 
-    def off_betaincinv(a, b, y):
-        g = betaincinv(a, b, y)
+    def off_betainccinv(a, b, y):
+        g = betainccinv(a, b, y)
         return g + sigmas * math.sqrt(g * (1 - g) / (a + b - 1))
 
-    monkeypatch.setattr(dists, "_betaincinv", off_betaincinv)
+    monkeypatch.setattr(dists, "_betainccinv", off_betainccinv)
     monkeypatch.setattr(
         dists, "_inf_p_slope", lambda n, delta, g: slope_scale * slope(n, delta, g)
     )
@@ -304,6 +303,14 @@ def test_binom_inf_p_brackets_at_the_slope_step(cdf_calls, n):
     assert binom_cdf(k, n, p) <= 0.1 < binom_cdf(k, n, np.nextafter(p, 0.0))
 
 
+def test_binom_inf_p_brackets_a_tiny_level(cdf_calls):
+    # 1 - 1e-300 rounds to 1, so only the complemented inverse gives a guess
+    k, n, delta = 3, 10**7, 1e-300
+    p = binom_inf_p(k, n, delta)
+    assert len(cdf_calls) <= 30  # 66 calls without a guess
+    assert binom_cdf(k, n, p) <= delta < binom_cdf(k, n, np.nextafter(p, 0.0))
+
+
 @pytest.mark.parametrize("digits", [15, 50, 100, 300])
 def test_binom_inf_p_tiny_root_is_smallest_admissible_double(digits):
     n = 10**digits
@@ -316,6 +323,12 @@ def test_binom_inf_p_raises_when_halvings_run_out(monkeypatch):
     monkeypatch.setattr(dists, "_BISECT_MAX_ITER", 30)
     with pytest.raises(ArithmeticError):
         binom_inf_p(99, 1000, 0.1)
+
+
+def test_binom_sup_k_raises_when_halvings_run_out(monkeypatch):
+    monkeypatch.setattr(dists, "_BISECT_MAX_ITER", 5)
+    with pytest.raises(ArithmeticError):
+        binom_sup_k(10**6, 0.1, 0.1)
 
 
 def test_beta_params_validation():

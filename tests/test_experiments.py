@@ -217,7 +217,6 @@ def test_one_inversion_per_distinct_n(monkeypatch):
         return binom_sup_k(n, eps, delta)
 
     monkeypatch.setattr(calibration, "binom_sup_k", counting_sup_k)
-    calibration._plan.cache_clear()
     target = Tolerance(0.1, 0.1)
     pool = gen_synthetic(400, seed=44)
     run_trials(_flat_predictor(), pool, 100, 200, 50, target, master_seed=6)
