@@ -8,7 +8,9 @@ by the ratio recurrence between neighbours, anchored at the mode,
 accumulated in extended precision and normalized by their own total, so no
 cancellation and no external special function enters the result.  The
 regularized incomplete beta function comes from scipy, which evaluates the
-standard continued fraction.
+standard continued fraction.  scipy.special is imported at the first call
+that needs it (an inversion's guess or ``beta_reg``), not with the module,
+so code that only reads order statistics never loads it.
 
 The binomial inversions ``binom_sup_k`` (in k) and ``binom_inf_p`` (in p)
 are one bracketed bisection on the exact CDF, ``_boundary``.  scipy's
@@ -36,9 +38,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy.special import bdtrik as _bdtrik
-from scipy.special import betainc as _scipy_betainc
-from scipy.special import betainccinv as _betainccinv
 
 __all__ = [
     "BetaParams",
@@ -68,6 +67,18 @@ _BISECT_MAX_ITER = 1100
 _MARGIN = 1e-9
 _GUESS_STEPS = (1e-9, 1e-6, 1e-3)
 _STD_NORMAL = NormalDist()
+
+
+def _bdtrik(y, n, p):
+    from scipy.special import bdtrik  # loaded at the first inversion
+
+    return bdtrik(y, n, p)
+
+
+def _betainccinv(a, b, y):
+    from scipy.special import betainccinv  # loaded at the first inversion
+
+    return betainccinv(a, b, y)
 
 
 @dataclass(frozen=True)
@@ -351,8 +362,10 @@ def beta_reg(x: float, params: BetaParams) -> float:
     >>> beta_reg(1.0, BetaParams(3.2, 0.7))
     1.0
     """
+    from scipy.special import betainc  # loaded at the first Beta CDF
+
     x = _check_prob("x", x)
-    return float(_scipy_betainc(params.a, params.b, x))
+    return float(betainc(params.a, params.b, x))
 
 
 def _betabin_terms(params: BetaBinParams) -> np.ndarray:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal
 
 import numpy as np
-from scipy.special import betainc
 
 from ._rational import on_grid
 from .calibration import (
@@ -368,6 +367,8 @@ def summarize(
     back to integer covered counts so the threshold comparisons never
     depend on float rounding of C_j.
     """
+    from scipy.special import betainc  # only the Beta reference needs it
+
     R = len(reports)
     if R < 1:
         raise ValueError("need at least one trial report")

@@ -203,22 +203,35 @@ def test_cached_parser_keeps_its_defaults(capsys):
     assert code == 0 and again == first
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    # only the k-NN predictor needs scipy.spatial; calibrate and tables
-    # should not pay for importing it
+def test_import_leaves_scipy_spatial_unloaded(tmp_path):
+    # a marginal split or crc calibration needs no special function, so
+    # it should not pay for importing scipy; a tolerance inversion loads
+    # scipy.special, and only the k-NN predictor needs scipy.spatial
     src = str(Path(cli.__file__).resolve().parents[1])
+    scores = write_scores(tmp_path, np.arange(1.0, 101.0))
+    script = f"""
+import contextlib, io, sys
+import conformal_kit.cli as cli
+
+def calibrate(*flags):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["calibrate", "--scores", {scores!r}, *flags]) == 0
+
+for method in ("split", "crc"):
+    calibrate("--alpha", "0.1", "--method", method)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+calibrate("--eps", "0.1", "--delta", "0.1")
+print("scipy.special" in sys.modules, "scipy.spatial" in sys.modules)
+"""
     proc = subprocess.run(
-        [
-            sys.executable, "-c",
-            "import sys, conformal_kit.cli; print('scipy.spatial' in sys.modules)",
-        ],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["[]", "True False"]
 
 
 def test_closed_stdout_exits_quietly():
