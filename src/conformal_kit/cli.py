@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import Marginal, NonconformityScores, Tolerance, p_hat, q_hat
+from .calibration import Marginal, NonconformityScores, Tolerance, p_hat, plan, q_hat
 from .experiments import (
     DEFAULT_SEED,
     Dataset,
@@ -214,8 +214,10 @@ def cmd_experiment(args) -> int:
     report = tune_nominal_quantiles(train, target=target, k=args.k_neighbors, seed=seed)
     config = KnnQuantileConfig(args.k_neighbors, *report.selected)
     base = fit_knn_quantile(train, config)
-    law = reference_law(n, target)
-    reports = run_trials(base, pool, n, n_test, args.trials, target, master_seed=seed)
+    planned = plan(n, target)
+    # a full-set plan has no law, and reference_law raises its error
+    law = planned.law if planned.law is not None else reference_law(n, target)
+    reports = run_trials(base, pool, n, n_test, args.trials, planned, master_seed=seed)
     summary = summarize(reports, law, eps=eps, delta=delta, n_test=n_test)
 
     payload = {

@@ -227,6 +227,23 @@ def binom_cdf(k, n, p: float) -> float:
     return float((total - upper) / total)
 
 
+def _binom_table(n: int, p: float, kmax: int) -> np.ndarray:
+    """Bin(k; n, p) for k = 0..kmax and 0 < p < 1, from one pmf chain.
+
+    ``binom_cdf``'s chain, run from the mode down to 0 and 12 sigma past
+    max(mode, kmax), gives cumulative sums over its total, so a value can
+    differ from ``binom_cdf``'s by an ulp.  Counts k >= n read 1.0.
+    """
+    window = int(_WINDOW_SIGMAS * math.sqrt(n * p * (1.0 - p))) + _WINDOW_PAD
+    anchor = min(n, int((n + 1) * p))
+    down, up = _binom_chains(n, p, anchor, 0, min(n, max(anchor, kmax) + window))
+    cum = np.cumsum(np.concatenate((down[::-1], np.ones(1, np.longdouble), up)))
+    table = np.ones(kmax + 1)
+    top = min(kmax + 1, n)
+    table[:top] = cum[:top] / cum[-1]
+    return table
+
+
 def _boundary(lo, hi, half, ok, ends):
     """Final bracket (lo, hi) of a bisection for the change of ``ok``.
 

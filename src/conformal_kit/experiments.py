@@ -30,6 +30,7 @@ import numpy as np
 
 from ._rational import on_grid
 from .calibration import (
+    CalibrationPlan,
     Marginal,
     NonconformityScores,
     plan,
@@ -290,10 +291,10 @@ def run_trials(
 
     The base predictor is evaluated on the pool once, and the pool's
     scores and interval widths with it, and the rank to select is planned
-    once for n and the target; each trial then permutes the pool
-    with its own seed stream (derived from the master seed and the trial
-    index), calibrates on the first n scores and evaluates coverage and
-    mean interval length on the next n_test.
+    once for n and the target, unless the caller hands in that plan; each
+    trial then permutes the pool with its own seed stream (derived from the
+    master seed and the trial index), calibrates on the first n scores and
+    evaluates coverage and mean interval length on the next n_test.
 
     Parameters
     ----------
@@ -305,8 +306,8 @@ def run_trials(
         Calibration and test sizes per trial.
     R : int
         Number of trials.
-    target : Marginal or Tolerance
-        Guarantee to calibrate at.
+    target : Marginal, Tolerance or CalibrationPlan
+        Guarantee to calibrate at, or its ``plan(n, target)``.
     master_seed : int
         Root of every trial's random stream.
 
@@ -330,7 +331,8 @@ def run_trials(
     hi = np.asarray(hi, dtype=float)
     scores = _cqr_scores(lo, hi, pool.labels)
     widths = hi - lo
-    rank = plan(n, target).order_index
+    planned = target if isinstance(target, CalibrationPlan) else plan(n, target)
+    rank = planned.order_index
 
     reports = []
     for j in range(R):

@@ -16,14 +16,16 @@ breakpoints and the sum on each step, together with the bound B.  Each
 route takes the losses and its levels and returns ``lambda_hat``, +inf
 when no threshold qualifies.  Infima over lambda are taken over the
 breakpoints, and the threshold conditions are compared in exact
-rational arithmetic.  The equivalence with the rank-based calibrators is a
-theorem, and these routes are kept independent enough that the test suite
-can actually check it.
+rational arithmetic.  The exact binomial routes read the binomial a few
+times per calibration: learn-then-test takes its p-values from one table,
+so it is O(n), and upper-confidence-bound calibration searches from a
+bracket certified by its own bound.  The equivalence with the rank-based
+calibrators is a theorem, and these routes are kept independent enough
+that the test suite can actually check it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._rational import as_fraction, on_grid
-from .dists import _check_prob, _check_trials, binom_cdf, binom_inf_p
+from .dists import _MARGIN, _bdtrik, _binom_table, _boundary, _check_prob
+from .dists import _check_trials, binom_cdf, binom_inf_p
 
 __all__ = ["Losses", "crc_lambda", "ucb_lambda", "ltt_lambda"]
 
@@ -129,26 +132,29 @@ class Losses:
         return float(self.totals[np.searchsorted(self.lambdas, lam, side="right")])
 
 
-def _first_ok(losses: Losses, ok) -> float:
+def _first_ok(losses: Losses, ok, guess: float = math.nan) -> float:
     """Smallest candidate threshold whose loss sum passes ok, else +inf.
 
     The candidates are -inf, every finite breakpoint and +inf.  ok must
     fail on a prefix of them and hold on the rest, as any condition
-    monotone in the sum does for non-increasing losses, so binary search
-    locates the boundary exactly.
+    monotone in the sum does for non-increasing losses, so ``_boundary``
+    halving over their indices locates the boundary exactly.  A finite
+    ``guess`` of the sum there orders the probes: the candidates whose
+    sums lie a count beyond it either way are the bracket ends, certified
+    by ok itself.  A NaN or wrong guess leaves the plain halving.
     """
     lam = losses.lambdas
-    inner = lam[np.isfinite(lam)]
-
-    def cand(k: int) -> float:
-        if k == 0:
-            return -math.inf
-        return float(inner[k - 1]) if k <= inner.size else math.inf
-
-    k = bisect.bisect_left(
-        range(inner.size + 2), True, key=lambda k: ok(losses.total(cand(k)))
-    )
-    return cand(k)
+    # the finite breakpoints are lam[a:b]; candidate k's loss sum is sums[k]
+    a = np.searchsorted(lam, -math.inf, side="right")
+    b = np.searchsorted(lam, math.inf)
+    sums = np.append(losses.totals[a : b + 1], losses.totals[-1])
+    ends = []
+    if math.isfinite(guess):
+        x = np.count_nonzero(sums >= math.ceil(guess) + 1) - 1
+        ends = [(int(x), int(np.count_nonzero(sums > math.floor(guess) - 1)))]
+    _, k = _boundary(-1, sums.size, lambda lo, hi: (lo + hi) // 2,
+                     lambda k, _: ok(float(sums[k])), ends)
+    return float(np.concatenate(([-math.inf], lam[a:b], [math.inf] * 2))[k])
 
 
 def crc_lambda(losses: Losses, alpha) -> float:
@@ -212,8 +218,10 @@ def ucb_lambda(
     R_hat_plus is a pointwise 1 - delta upper confidence bound on the
     risk.  Both shipped bounds are monotone in the empirical risk, so for
     non-increasing losses the condition is a suffix property of the
-    breakpoint candidates and binary search locates the boundary exactly.
-    Returns +inf when no threshold qualifies.
+    breakpoint candidates and binary search locates the boundary exactly;
+    the exact binomial one starts from the bracket one count either side of
+    scipy's ``bdtrik`` guess, certified by the bound itself.  Returns +inf
+    when no threshold qualifies.
 
     Parameters
     ----------
@@ -236,11 +244,13 @@ def ucb_lambda(
         raise ValueError("eps must not be NaN")
     delta = _check_prob("delta", delta, open_interval=True)
 
+    guess = math.nan
     if method == "exact-binomial":
 
         def ok(total: float) -> bool:
             return binom_inf_p(_zero_one_counts(total, n), n, delta) <= eps
 
+        guess = float(_bdtrik(delta, n, eps))
     elif method == "hoeffding":
         margin = losses.bound * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
@@ -250,7 +260,7 @@ def ucb_lambda(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    return _first_ok(losses, ok)
+    return _first_ok(losses, ok, guess)
 
 
 def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
@@ -263,7 +273,9 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     each test, no correction for the grid size, and stops at the first
     p-value above delta.  Returns the smallest threshold it rejects, one
     past the last grid point whose p-value exceeds delta, or +inf when
-    that is the top one.
+    that is the top one.  Every p-value is read from one table of
+    Bin(.; n, eps), so the route is O(n) plus the grid; ``binom_cdf``
+    settles the table values near delta, where an ulp could flip the test.
 
     Parameters
     ----------
@@ -288,9 +300,11 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
         raise ValueError("grid must be 1-d and strictly ascending")
     n = losses.n
     totals = losses.totals[np.searchsorted(losses.lambdas, lam, side="right")]
-    counts = _zero_one_counts(totals, n)
-    # one CDF per distinct count: a fine grid repeats them
-    cdf = {k: binom_cdf(k, n, eps) for k in set(counts)}
-    above = np.flatnonzero(np.array([cdf[k] for k in counts]) > delta)
+    counts = np.minimum(_zero_one_counts(totals, n), n)
+    table = _binom_table(n, eps, int(counts.max(initial=0)))
+    near = np.abs(table - delta) <= max(_MARGIN * delta, 2.0**-1074)
+    for k in np.flatnonzero(near).tolist():
+        table[k] = binom_cdf(k, n, eps)
+    above = np.flatnonzero(table[counts] > delta)
     first = int(above[-1]) + 1 if above.size else 0
     return float(lam[first]) if first < lam.size else math.inf

@@ -31,8 +31,8 @@ from .calibration import (
     tolerance_delta_given_alpha,
     tolerance_eps_given_alpha,
 )
-from .dists import BetaParams, beta_reg, binom_cdf
-from .experiments import gen_synthetic, reference_law, run_trials, summarize
+from .dists import BetaParams, _binom_table, beta_reg, binom_cdf
+from .experiments import gen_synthetic, run_trials, summarize
 from .predictors import KnnQuantileConfig, fit_knn_quantile
 from .risk import Losses, crc_lambda, ltt_lambda, ucb_lambda
 
@@ -245,10 +245,9 @@ def ks_suite(trials: int = 200, seed: int = 7) -> SuiteResult:
     train = gen_synthetic(400, train_seed)
     pool = gen_synthetic(n + n_test, pool_seed)
     base = fit_knn_quantile(train, KnnQuantileConfig())
-    reports = run_trials(base, pool, n, n_test, trials, target, master_seed=seed)
-    summary = summarize(
-        reports, reference_law(n, target), eps=0.1, delta=0.1, n_test=n_test
-    )
+    planned = plan(n, target)
+    reports = run_trials(base, pool, n, n_test, trials, planned, master_seed=seed)
+    summary = summarize(reports, planned.law, eps=0.1, delta=0.1, n_test=n_test)
     threshold = 1.36 / math.sqrt(trials)
     passed = summary.ks_distance < threshold and summary.dominance_gap < threshold
     return SuiteResult(
@@ -278,8 +277,7 @@ def superuniform_suite(trials: int = 2000, seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
 
     counts = rng.binomial(n, eps, size=trials)
-    pmap = {c: binom_cdf(c, n, eps) for c in np.unique(counts)}
-    sample = np.array([pmap[c] for c in counts])
+    sample = _binom_table(n, eps, int(counts.max(initial=0)))[counts]
     grid_u = np.arange(0.01, 1.0, 0.01)
     slack_u = 3.0 * np.sqrt(grid_u * (1.0 - grid_u) / trials)
     emp = (sample[:, None] <= grid_u[None, :]).mean(axis=0)

@@ -6,9 +6,11 @@ Fraction arithmetic, scipy.stats reference distributions), so that each
 numerical claim is checked through two unrelated routes.  The two
 ``*_bisect`` searches are the exception: they replay ``binom_sup_k`` and
 ``binom_inf_p`` with every probe evaluated by the package's own
-``binom_cdf``, the reference the bracketed searches must match bit for bit,
-and ``ltt_walk`` replays ``ltt_lambda`` with one ``binom_cdf`` p-value per
-grid point and the fixed-sequence walk taken one point at a time.
+``binom_cdf``, the reference the bracketed searches must match bit for bit;
+``ltt_walk`` replays ``ltt_lambda`` with one ``binom_cdf`` p-value per
+grid point and the fixed-sequence walk taken one point at a time, and
+``ucb_scan`` replays exact-binomial ``ucb_lambda`` with one
+``binom_inf_p`` per candidate threshold.
 Likewise the two harness loops at the end replay ``tune_nominal_quantiles``
 with one fitted predictor per (candidate, fold) and ``run_trials`` with the
 scores recomputed in every trial: the references for the shared-work
@@ -24,7 +26,7 @@ import mpmath
 import numpy as np
 
 from conformal_kit.calibration import NonconformityScores, plan
-from conformal_kit.dists import binom_cdf
+from conformal_kit.dists import binom_cdf, binom_inf_p
 from conformal_kit.experiments import Dataset, TrialReport
 from conformal_kit.predictors import KnnQuantileConfig, fit_knn_quantile
 
@@ -195,6 +197,27 @@ def ltt_walk(losses, eps: float, delta: float, grid=None) -> float:
             break
         chosen.append(l)
     return min(chosen) if chosen else math.inf
+
+
+def ucb_scan(losses, eps: float, delta: float) -> float:
+    """Exact-binomial ``ucb_lambda`` as one ``binom_inf_p`` per candidate.
+
+    The candidates are +inf, the finite breakpoints from the top down and
+    -inf.  The scan keeps each while the smallest p with
+    Bin(count; n, p) <= delta stays within eps, stops at the first one
+    that fails and returns the last one kept, +inf when none is.
+    """
+    lam = losses.lambdas
+    finite = lam[np.isfinite(lam)].tolist()
+    kept = math.inf
+    for l in [math.inf, *finite[::-1], -math.inf]:
+        total = losses.total(l)
+        count = int(total)
+        assert count == total, "the binomial bound needs 0-1 losses"
+        if binom_inf_p(count, losses.n, delta) > eps:
+            break
+        kept = l
+    return kept
 
 
 def sort_scores(values) -> np.ndarray:

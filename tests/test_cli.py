@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conformal_kit import cli
+from conformal_kit import calibration, cli
 from conformal_kit.experiments import gen_synthetic
 from conformal_kit.verify import SuiteResult
 
@@ -313,6 +313,25 @@ def test_experiment_marginal_target(capsys):
     assert payload["guarantee"] == {"kind": "marginal", "alpha": 0.2}
     # ceil(0.8 * 101) = 81
     assert payload["law"] == {"a": 81, "b": 20}
+
+
+def test_experiment_plans_each_size_once(capsys, monkeypatch):
+    calls = []
+    real = calibration.binom_sup_k
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(calibration, "binom_sup_k", counted)
+    code, _, _ = run(capsys, "experiment", "--trials", "20", "--seed", "1")
+    # one plan for the tuning folds' size and one for the calibration size
+    assert code == 0 and sorted(calls) == [(100, 0.1, 0.1), (1000, 0.1, 0.1)]
+
+
+def test_experiment_full_set_is_a_domain_error(capsys):
+    code, out, err = run(capsys, *EXP_ARGS, "--eps", "0.001", "--delta", "0.01")
+    assert code == 2 and out == "" and "full-set" in err
 
 
 def test_experiment_csv_data(tmp_path, capsys):

@@ -80,6 +80,12 @@ def _calibrate_cases() -> list:
             ["calibrate", "--scores", "{large}", "--alpha", "0.072",
              "--method", method],
         ))
+    for method in ("ucb", "ltt"):
+        cases.append((
+            f"calibrate-large-{method}-tolerance",
+            ["calibrate", "--scores", "{large}", "--eps", "0.1",
+             "--delta", "0.1", "--method", method],
+        ))
     return cases
 
 

@@ -274,6 +274,23 @@ def test_inversions_without_a_usable_guess(monkeypatch, sigmas, slope_scale):
         assert _bits(got) == _bits(binom_inf_p_bisect(k, n, delta))
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    st.integers(1, 3000),
+    st.floats(math.log(1e-6), math.log1p(-1e-6)),
+    st.data(),
+)
+def test_binom_table_matches_binom_cdf(n, log_eps, data):
+    eps = math.exp(log_eps)
+    kmax = data.draw(st.integers(0, n + 2))
+    table = dists._binom_table(n, eps, kmax)
+    want = np.array([binom_cdf(k, n, eps) for k in range(kmax + 1)])
+    assert table.shape == want.shape
+    normal = want >= 2.0**-1022
+    err = np.abs(table - want)[normal]
+    assert np.all(err <= 1e-12 * want[normal]), (n, eps, kmax)
+
+
 @pytest.fixture
 def cdf_calls(monkeypatch):
     calls = []

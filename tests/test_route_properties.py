@@ -6,20 +6,25 @@ j/(n + 1) or one ulp to either side of it.  Thresholds must be the same
 float, sign bit included: a zero threshold is 0.0 on every route even
 when both 0.0 and -0.0 are among the scores.  Learn-then-test has no rank
 rule; it must match its oracle ``ltt_walk``, with delta also drawn on a
-p-value or one ulp to either side of it.
+p-value or one ulp to either side of it, on a value of the p-value table
+it reads, or subnormal.  Exact-binomial upper-confidence-bound
+calibration must also match its own oracle ``ucb_scan``, with its count
+guess as given, NaN, or 10 sigma off either way.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conformal_kit import dists, risk
 from conformal_kit.calibration import NonconformityScores, p_hat, q_hat
 from conformal_kit.dists import binom_cdf
 from conformal_kit.risk import Losses, crc_lambda, ltt_lambda, ucb_lambda
 
-from helpers import ltt_walk
+from helpers import ltt_walk, ucb_scan
 
 
 def same_float(a: float, b: float) -> bool:
@@ -134,3 +139,64 @@ def test_zero_one_total_counts_exceedances(data):
         )
     )
     assert Losses.zero_one(vals).total(lam) == sum(s > lam for s in vals)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_ltt_is_the_walk_at_table_values(data):
+    vals = data.draw(scores)
+    n = len(vals)
+    eps = data.draw(levels(n))
+    p = float(dists._binom_table(n, eps, n)[data.draw(st.integers(0, n))])
+    delta = data.draw(
+        st.sampled_from(
+            [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0), 5e-324]
+        ).filter(lambda d: 0.0 < d < 1.0)
+    )
+    losses = Losses.zero_one(vals)
+    got = ltt_lambda(losses, eps, delta)
+    assert same_float(got, ltt_walk(losses, eps, delta)), (vals, eps, delta)
+
+
+@pytest.mark.parametrize(
+    "n, eps", [(100, 0.5), (200, 0.05), (1000, 0.3), (1100, 0.5)]
+)
+def test_ltt_is_the_walk_where_an_ulp_decides(n, eps):
+    # a few table values here sit an ulp off binom_cdf's, and
+    # Bin(k; 1100, 1/2) is subnormal for k = 3..9, where an ulp is 2^-1074
+    losses = Losses.zero_one(np.arange(float(n)))
+    table = dists._binom_table(n, eps, n)
+    deltas = {5e-324}
+    for k in range(n):
+        p = binom_cdf(k, n, eps)
+        if table[k] != p or 0.0 < p < 2.0**-1022:
+            deltas |= {math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)}
+            deltas.add(float(table[k]))
+    for delta in sorted(d for d in deltas if 0.0 < d < 1.0):
+        got = ltt_lambda(losses, eps, delta)
+        assert same_float(got, ltt_walk(losses, eps, delta)), delta
+
+
+@pytest.mark.parametrize(
+    "sigmas", [None, math.nan, 10.0, -10.0], ids=["bdtrik", "nan", "10.0", "-10.0"]
+)
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_ucb_is_the_scan(sigmas, data):
+    vals = data.draw(st.one_of(scores, scores.map(lambda v: v[:1])))
+    n = len(vals)
+    eps = data.draw(levels(n))
+    delta = data.draw(st.floats(1e-6, 0.99))
+    losses = Losses.zero_one(vals)
+    with pytest.MonkeyPatch.context() as mp:
+        if sigmas is not None:
+            # the guess then certifies no bracket end, or only the one on
+            # its own side of the boundary
+            bdtrik = dists._bdtrik
+            mp.setattr(
+                risk,
+                "_bdtrik",
+                lambda y, n, p: bdtrik(y, n, p) + sigmas * math.sqrt(n * p * (1 - p)),
+            )
+        got = ucb_lambda(losses, eps, delta)
+    assert same_float(got, ucb_scan(losses, eps, delta)), (vals, eps, delta)
