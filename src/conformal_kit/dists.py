@@ -15,16 +15,17 @@ so code that only reads order statistics never loads it.
 The binomial inversions ``binom_sup_k`` (in k) and ``binom_inf_p`` (in p)
 are one bracketed bisection on the exact CDF, ``_boundary``.  scipy's
 continuous inversion (``bdtrik``, ``betainccinv``) gives a guess, and an
-end beside it counts once the exact CDF there clears the level by the
-relative ``_MARGIN``, far above the CDF's own error.  For p the first
-ends tried sit as close to the guess as the CDF's slope allows (its normal
-approximation puts about two margins between guess and end), so the
-bracket is narrower the larger n is.  The CDF is monotone, so every probe
-beyond a certified end has that end's outcome and skips the CDF; only
-probes inside the bracket evaluate it, near the root, where its chains
-are short.  The probe sequence and the result are those of the plain
-bisection, bit for bit; an end that fails to certify, or a guess that is
-not finite, leaves that side to the plain bisection.
+end beside it counts once the exact CDF there clears the level by 1000
+times ``_cdf_err``, the stated worst-case relative error of ``binom_cdf``
+at that point (about 1.1e-14 at n = 10^6).  The ends tried first sit as
+close to the guess as that slack allows: the adjacent counts for k, and
+for p the step over which the CDF's normal approximation puts two slacks
+of change, so the bracket is narrower the larger n is.  The CDF is
+monotone, so every probe beyond a certified end has that end's outcome
+and skips the CDF; only probes inside the bracket evaluate it, near the
+root, where its chains are short.  The probe sequence and the result are
+those of the plain bisection, bit for bit; an end that fails to certify,
+or a guess that is not finite, leaves that side to the plain bisection.
 
 Integer inversions follow the lower quantile convention throughout: the
 largest k whose CDF does not exceed the level, -1 when there is none.
@@ -62,9 +63,15 @@ _WINDOW_PAD = 64
 _BISECT_MAX_ITER = 1100
 
 # A bracket end is certified when its exact CDF clears the level by this
-# relative margin, 1000 times binom_cdf's relative error; a probe beyond a
-# certified end then has the outcome its own evaluation would give.
-_MARGIN = 1e-9
+# many times binom_cdf's error bound there (``_cdf_err``); a probe beyond a
+# certified end then has the outcome its own evaluation would give.  The
+# factor also covers the bound's growth from an end to the probes beyond
+# it, whose chains are longer only where the CDF has moved far more.
+_SLACK = 1000.0
+# Integers below this are exact in long double; its machine epsilon is the
+# u of ``_cdf_err``.
+_EXACT_COUNTS = 2 ** (np.finfo(np.longdouble).nmant + 1)
+_LD_EPS = float(np.finfo(np.longdouble).eps)
 _GUESS_STEPS = (1e-9, 1e-6, 1e-3)
 _STD_NORMAL = NormalDist()
 
@@ -167,6 +174,25 @@ def _binom_chains(n: int, p: float, anchor: int, lo_end: int, hi_end: int):
     return down, up
 
 
+def _window(n: int, p: float):
+    """Mode of Bin(n, p), where the pmf chains are anchored, and how many
+    counts a chain runs past those it covers (12 sigma plus the pad)."""
+    window = int(_WINDOW_SIGMAS * math.sqrt(n * p * (1.0 - p))) + _WINDOW_PAD
+    return min(n, int((n + 1) * p)), window
+
+
+def _cdf_ends(k: int, n: int, p: float):
+    """Anchor and end counts of the chain ``binom_cdf`` builds, 0 <= k < n.
+
+    The chain covers k..anchor, or anchor..k + 1 when k lies above the
+    anchor, and the window past both sides, within 0..n.
+    """
+    anchor, window = _window(n, p)
+    if k <= anchor:
+        return anchor, max(0, k - window), min(n, anchor + window)
+    return anchor, max(0, anchor - window), min(n, k + 1 + window)
+
+
 def binom_cdf(k, n, p: float) -> float:
     """Binomial CDF Bin(k; n, p) = sum_{i<=k} C(n,i) p^i (1-p)^(n-i).
 
@@ -183,8 +209,9 @@ def binom_cdf(k, n, p: float) -> float:
     Returns
     -------
     float
-        The lower tail probability, with relative error well below 1e-12
-        for n up to 10^6.
+        The lower tail probability, within the relative error
+        ``_cdf_err(k, n, p)`` states (at p = 0.1 and k = n p, about
+        7.6e-16 at n = 2000 and 1.1e-14 at n = 10^6).
 
     Examples
     --------
@@ -205,26 +232,82 @@ def binom_cdf(k, n, p: float) -> float:
     if p == 1.0:
         return 0.0
 
-    window = int(_WINDOW_SIGMAS * math.sqrt(n * p * (1.0 - p))) + _WINDOW_PAD
-    anchor = min(n, int((n + 1) * p))
-    one = np.longdouble(1)
-    if k <= anchor:
-        lo_end = max(0, k - window)
-        hi_end = min(n, anchor + window)
-        down, up = _binom_chains(n, p, anchor, lo_end, hi_end)
-        total = one + down.sum() + up.sum()
-        if k == anchor:
-            lower = one + down.sum()
-        else:
-            lower = down[anchor - 1 - k :].sum()
-        return float(lower / total)
-    first_above = k + 1
-    lo_end = max(0, anchor - window)
-    hi_end = min(n, first_above + window)
+    anchor, lo_end, hi_end = _cdf_ends(k, n, p)
     down, up = _binom_chains(n, p, anchor, lo_end, hi_end)
+    one = np.longdouble(1)
     total = one + down.sum() + up.sum()
-    upper = up[first_above - anchor - 1 :].sum()
-    return float((total - upper) / total)
+    if k > anchor:
+        return float((total - up[k - anchor :].sum()) / total)
+    lower = one + down.sum() if k == anchor else down[anchor - 1 - k :].sum()
+    return float(lower / total)
+
+
+def _chain_err(n: int, lo_end: int, hi_end: int) -> float:
+    """``_cdf_err`` of a value read from the pmf chain over lo_end..hi_end."""
+    if hi_end >= _EXACT_COUNTS:
+        return math.inf
+    r = 4 if n < _EXACT_COUNTS else 7
+    length = hi_end - lo_end + 1
+    return ((2 * r + 6) * length + 2) * _LD_EPS + 2.0**-53 + 4 * math.exp(-72)
+
+
+def _cdf_err(k, n: int, p: float) -> float:
+    """Stated worst-case relative error of ``binom_cdf(k, n, p)``.
+
+    Zero where ``binom_cdf`` returns an exact 0 or 1.  Otherwise let u be
+    the long-double machine epsilon, twice its unit roundoff, which
+    absorbs the second-order terms (m roundings anywhere in a product or
+    quotient move it by at most m u while m u <= 1), and L the length of
+    the chain ``_cdf_ends`` gives.
+
+    - Each ratio of neighbouring pmf terms takes r = 4 roundings (1 - p,
+      two products, the quotient), its counts being exact in long double
+      below ``_EXACT_COUNTS``.  For larger n, n's conversion and the two
+      count sums add 3, so r = 7; counts in the chain past it have no
+      bound (inf).
+    - ``cumprod`` adds one rounding per step, so every term, and any sum
+      of terms taken exactly, is within (r + 1) L u.
+    - Each sum adds at most L roundings to each term, since numpy's
+      pairwise sum stays within the linear bound.
+    - At or below the anchor the value is lower / total: 2 (r + 1) L for
+      the terms, 2 L for the sums and 1 for the quotient.
+    - Above it the value is (total - upper) / total.  The terms' errors
+      do not cancel, as total - upper is a sum of terms, but the sums'
+      errors, L u (total + upper), grow by (total + upper) / (total -
+      upper), which is at most 3 when the value is at least 1/2.  It is
+      when k >= n p, since the median of Bin(n, p) is at most ceil(n p).
+      So 2 (r + 1) L for the terms, 3 L + L for the sums and 2 for the
+      difference and the quotient.  A k above the anchor but below n p
+      takes float rounding of the anchor, so n >= 2^53 - 1; there no
+      bound is stated (inf).
+
+    To the larger count, ((2 r + 6) L + 2) u, add 2^-53 for the
+    conversion to double (for results in its normal range) and e^-72 of
+    the mass for each end the window drops (see ``_WINDOW_SIGMAS``),
+    doubled for the cancellation above the anchor.  With the 80-bit long
+    double (u = 2^-63) at p = 0.1 the bound is about 1.1e-14 at n = 10^6
+    and reaches 1e-12 near n = 10^10; with a plain double (u = 2^-52) it
+    is 2048 times as large.
+    """
+    k = math.floor(k)
+    if k < 0 or k >= n or p == 0.0 or p == 1.0:
+        return 0.0
+    anchor, lo_end, hi_end = _cdf_ends(k, n, p)
+    num, den = float(p).as_integer_ratio()
+    if k > anchor and k * den < n * num:
+        return math.inf
+    return _chain_err(n, lo_end, hi_end)
+
+
+def _slack(side: int, k, n: int, p: float) -> float:
+    """``side`` times the certification slack at Bin(k; n, p), 0 if side is 0."""
+    return side * _SLACK * _cdf_err(k, n, p) if side else 0.0
+
+
+def _table_ends(n: int, p: float, kmax: int):
+    """Anchor and top count of ``_binom_table``'s chain, which starts at 0."""
+    anchor, window = _window(n, p)
+    return anchor, min(n, max(anchor, kmax) + window)
 
 
 def _binom_table(n: int, p: float, kmax: int) -> np.ndarray:
@@ -234,41 +317,51 @@ def _binom_table(n: int, p: float, kmax: int) -> np.ndarray:
     max(mode, kmax), gives cumulative sums over its total, so a value can
     differ from ``binom_cdf``'s by an ulp.  Counts k >= n read 1.0.
     """
-    window = int(_WINDOW_SIGMAS * math.sqrt(n * p * (1.0 - p))) + _WINDOW_PAD
-    anchor = min(n, int((n + 1) * p))
-    down, up = _binom_chains(n, p, anchor, 0, min(n, max(anchor, kmax) + window))
+    anchor, top = _table_ends(n, p, kmax)
+    down, up = _binom_chains(n, p, anchor, 0, top)
     cum = np.cumsum(np.concatenate((down[::-1], np.ones(1, np.longdouble), up)))
     table = np.ones(kmax + 1)
-    top = min(kmax + 1, n)
-    table[:top] = cum[:top] / cum[-1]
+    stop = min(kmax + 1, n)
+    table[:stop] = cum[:stop] / cum[-1]
     return table
+
+
+def _table_err(n: int, p: float, kmax: int) -> float:
+    """Relative error bound of every ``_binom_table(n, p, kmax)`` value.
+
+    It is ``_chain_err`` of the table's chain: its cumulative sums never
+    cancel, and that chain holds ``binom_cdf``'s for every k <= kmax but
+    one count, so the bound covers those values too.
+    """
+    return _chain_err(n, 0, _table_ends(n, p, kmax)[1])
 
 
 def _boundary(lo, hi, half, ok, ends):
     """Final bracket (lo, hi) of a bisection for the change of ``ok``.
 
-    ``ok(x, s)`` is monotone in x, false at ``lo`` and true at ``hi``
-    (neither end is evaluated); ``s`` is a relative slack on the level,
-    so that ``ok`` is harder to hold at s > 0.  Each (x, y) in ``ends`` is
-    a pair of bracket ends beside a guess, tried in turn until one of each
-    certifies: x once ``ok`` fails there at slack -``_MARGIN``, y once it
-    holds at +``_MARGIN``.  Bisection by ``half`` then starts from
-    (lo, hi), as the plain search does, and a probe beyond a certified end
-    takes that end's outcome without calling ``ok``.  It stops when
-    ``half`` returns an end, i.e. at adjacent points, and raises
-    ArithmeticError if ``_BISECT_MAX_ITER`` halvings do not get there.
+    ``ok(x, side)`` is monotone in x, false at ``lo`` and true at ``hi``
+    (neither end is evaluated).  ``side`` 0 asks the plain question; +1
+    asks ``ok`` to hold, and -1 to fail, by a slack the caller computes at
+    x, so that the answer there is every probe's beyond x.  Each (x, y)
+    in ``ends`` is a pair of bracket ends beside a guess, tried in turn
+    until one of each certifies: x once ``ok(x, -1)`` fails, y once
+    ``ok(y, 1)`` holds.  Bisection by ``half`` then starts from (lo, hi),
+    as the plain search does, and a probe beyond a certified end takes
+    that end's outcome without calling ``ok``.  It stops when ``half``
+    returns an end, i.e. at adjacent points, and raises ArithmeticError
+    if ``_BISECT_MAX_ITER`` halvings do not get there.
     """
     a, b = lo, hi
     for x, y in ends:
-        if a == lo and lo < x < hi and not ok(x, -_MARGIN):
+        if a == lo and lo < x < hi and not ok(x, -1):
             a = x
-        if b == hi and lo < y < hi and ok(y, _MARGIN):
+        if b == hi and lo < y < hi and ok(y, 1):
             b = y
     for _ in range(_BISECT_MAX_ITER):
         mid = half(lo, hi)
         if mid == lo or mid == hi:
             return lo, hi
-        if mid >= b or (mid > a and ok(mid, 0.0)):
+        if mid >= b or (mid > a and ok(mid, 0)):
             hi = mid
         else:
             lo = mid
@@ -284,8 +377,9 @@ def binom_sup_k(n, eps: float, delta: float) -> int:
     the last k that meets delta.  It returns -1 exactly when even k = 0
     exceeds delta, i.e. (1 - eps)^n > delta; callers map that to the
     degenerate full-set calibration, since collapsing it to k = 0 would
-    silently weaken the guarantee.  The bracket ends sit one count beyond
-    scipy's ``bdtrik`` guess either way (see the module docstring).
+    silently weaken the guarantee.  The bracket ends are the counts either
+    side of scipy's ``bdtrik`` guess, then one count further out (see the
+    module docstring).
 
     Examples
     --------
@@ -298,12 +392,14 @@ def binom_sup_k(n, eps: float, delta: float) -> int:
     eps = _check_prob("eps", eps, open_interval=True)
     delta = _check_prob("delta", delta, open_interval=True)
     g = float(_bdtrik(delta, n, eps))
-    ends = [(math.floor(g) - 1, math.ceil(g) + 1)] if math.isfinite(g) else []
+    ends = []
+    if math.isfinite(g):
+        ends = [(math.floor(g), math.ceil(g)), (math.floor(g) - 1, math.ceil(g) + 1)]
     lo, _ = _boundary(
         -1,
         n,
         lambda lo, hi: (lo + hi) // 2,
-        lambda k, s: binom_cdf(k, n, eps) > delta * (1.0 + s),
+        lambda k, side: binom_cdf(k, n, eps) > delta * (1.0 + _slack(side, k, n, eps)),
         ends,
     )
     return lo
@@ -331,9 +427,10 @@ def binom_inf_p(k, n, delta: float) -> float:
 
     The bracket ends sit at relative steps either side of scipy's
     ``betainccinv`` root (``bdtri`` is NaN for n >= 10^12): first at the
-    step over which ``_inf_p_slope`` puts two margins of CDF change, when
-    that step is below 1e-9, then at 1e-9, 1e-6 and 1e-3.  A wrong slope
-    only costs calls, since every end is certified by the exact CDF.
+    step over which ``_inf_p_slope`` puts two certification slacks of CDF
+    change, when that step is below 1e-9, then at 1e-9, 1e-6 and 1e-3.
+    A wrong slope only costs calls, since every end is certified by the
+    exact CDF.
     Raises ArithmeticError if ``_BISECT_MAX_ITER`` halvings do not reach
     adjacent doubles.
 
@@ -355,15 +452,16 @@ def binom_inf_p(k, n, delta: float) -> float:
     ends = []
     if 0.0 < g < 1.0:
         steps = _GUESS_STEPS
+        margin = _SLACK * _cdf_err(k, n, g)
         slope = _inf_p_slope(n, delta, g)
-        if slope * _GUESS_STEPS[0] > 2.0 * _MARGIN:
-            steps = (2.0 * _MARGIN / slope, *_GUESS_STEPS)
+        if slope * _GUESS_STEPS[0] > 2.0 * margin:
+            steps = (2.0 * margin / slope, *_GUESS_STEPS)
         ends = [(g * (1.0 - r), g * (1.0 + r)) for r in steps]
     _, hi = _boundary(
         0.0,
         1.0,
         lambda lo, hi: 0.5 * (lo + hi),
-        lambda p, s: binom_cdf(k, n, p) <= delta * (1.0 - s),
+        lambda p, side: binom_cdf(k, n, p) <= delta * (1.0 - _slack(side, k, n, p)),
         ends,
     )
     return hi

@@ -33,8 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._rational import as_fraction, on_grid
-from .dists import _MARGIN, _bdtrik, _binom_table, _boundary, _check_prob
-from .dists import _check_trials, binom_cdf, binom_inf_p
+from .dists import _SLACK, _bdtrik, _binom_table, _boundary, _check_prob
+from .dists import _check_trials, _table_err, binom_cdf, binom_inf_p
 
 __all__ = ["Losses", "crc_lambda", "ucb_lambda", "ltt_lambda"]
 
@@ -228,7 +228,8 @@ def ucb_lambda(
     losses : Losses
         Non-increasing losses of the calibration observations.
     eps : float
-        Risk level to control.
+        Risk level to control, in (0, 1) for the exact binomial bound and
+        in (0, B] for Hoeffding's.
     delta : float
         Confidence budget of the pointwise bound.
     method : {"exact-binomial", "hoeffding"}
@@ -239,19 +240,23 @@ def ucb_lambda(
         bounded loss (B from the loss bound).
     """
     n = losses.n
-    eps = float(eps)
-    if math.isnan(eps):
-        raise ValueError("eps must not be NaN")
     delta = _check_prob("delta", delta, open_interval=True)
 
     guess = math.nan
     if method == "exact-binomial":
+        eps = _check_prob("eps", eps, open_interval=True)
 
         def ok(total: float) -> bool:
             return binom_inf_p(_zero_one_counts(total, n), n, delta) <= eps
 
         guess = float(_bdtrik(delta, n, eps))
     elif method == "hoeffding":
+        eps = float(eps)
+        if not 0 < eps <= losses.bound:
+            raise ValueError(
+                f"need 0 < eps <= B for a non-vacuous guarantee, got "
+                f"eps={eps}, B={losses.bound}"
+            )
         margin = losses.bound * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
         def ok(total: float) -> bool:
@@ -275,7 +280,8 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     past the last grid point whose p-value exceeds delta, or +inf when
     that is the top one.  Every p-value is read from one table of
     Bin(.; n, eps), so the route is O(n) plus the grid; ``binom_cdf``
-    settles the table values near delta, where an ulp could flip the test.
+    settles the table values within the table's certification slack of
+    delta, where its rounding could flip the test.
 
     Parameters
     ----------
@@ -301,9 +307,10 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     n = losses.n
     totals = losses.totals[np.searchsorted(losses.lambdas, lam, side="right")]
     counts = np.minimum(_zero_one_counts(totals, n), n)
-    table = _binom_table(n, eps, int(counts.max(initial=0)))
-    near = np.abs(table - delta) <= max(_MARGIN * delta, 2.0**-1074)
-    for k in np.flatnonzero(near).tolist():
+    kmax = int(counts.max(initial=0))
+    table = _binom_table(n, eps, kmax)
+    band = max(_SLACK * _table_err(n, eps, kmax) * delta, 2.0**-1074)
+    for k in np.flatnonzero(np.abs(table - delta) <= band).tolist():
         table[k] = binom_cdf(k, n, eps)
     above = np.flatnonzero(table[counts] > delta)
     first = int(above[-1]) + 1 if above.size else 0

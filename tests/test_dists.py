@@ -9,6 +9,7 @@ import math
 import struct
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -117,6 +118,27 @@ def test_binom_cdf_large_n_vs_mpsum(k, n, p):
     # the recurrence must hold its contract far beyond scipy's comfort zone
     want = float(binom_cdf_mpsum(k, n, p, dps=50))
     assert binom_cdf(k, n, p) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.1, 0.5, 1 - 1e-6])
+@pytest.mark.parametrize(
+    "n, oracle",
+    [(37, binom_cdf_mp), (2000, binom_cdf_mp), (999_983, binom_cdf_mpsum)],
+    ids=["37", "2000", "999983"],
+)
+def test_binom_cdf_within_its_stated_bound(n, oracle, p):
+    # counts 8 sigma out in both tails, the extreme counts, and either side
+    # of the delta = 0.1 quantile; betainc raises NoConvergence near 10^6
+    mean, sd = n * p, math.sqrt(n * p * (1 - p))
+    k_delta = binom_sup_k(n, p, 0.1)
+    counts = {0, math.floor(mean - 8 * sd), k_delta, k_delta + 1}
+    counts |= {math.ceil(mean + 8 * sd), n - 1}
+    for k in sorted(k for k in counts if 0 <= k < n):
+        want = oracle(k, n, p, dps=50)
+        if want < 2.0**-1022:
+            continue  # the bound covers results in double's normal range
+        err = abs(mpmath.mpf(binom_cdf(k, n, p)) - want) / want
+        assert err <= dists._cdf_err(k, n, p), (k, n, p)
 
 
 def test_binom_cdf_matches_scipy_on_grid():
@@ -307,17 +329,26 @@ def cdf_calls(monkeypatch):
 def test_tables_probe_binom_cdf_only_near_the_roots(cdf_calls, capsys):
     assert cli.main(["tables", "--n", "1000003", "--levels", "0.1"]) == 0
     capsys.readouterr()
-    # a plain bisection over [0, n] and [0, 1] makes 77 calls here, and
-    # one bracketed at a fixed 1e-9 step around the inf-p guess 31
-    assert 0 < len(cdf_calls) <= 24
+    # a plain bisection over [0, n] and [0, 1] makes 77 calls here, one
+    # bracketed at a fixed 1e-9 step around the inf-p guess 31, and one
+    # certified at a flat relative margin of 1e-9 23
+    assert 0 < len(cdf_calls) <= 15
 
 
 @pytest.mark.parametrize("n", [10**5, 10**6])
 def test_binom_inf_p_brackets_at_the_slope_step(cdf_calls, n):
     k = math.floor(0.1 * (n + 1) - 1)
     p = binom_inf_p(k, n, 0.1)
-    assert len(cdf_calls) <= 20  # 27 with the bracket at the fixed 1e-9 step
+    assert len(cdf_calls) <= 14  # 27 with the bracket at the fixed 1e-9 step
     assert binom_cdf(k, n, p) <= 0.1 < binom_cdf(k, n, np.nextafter(p, 0.0))
+
+
+def test_binom_sup_k_certifies_the_adjacent_counts(cdf_calls):
+    # the counts either side of the bdtrik guess certify at once; the ends
+    # one count further out took 4 calls
+    k = binom_sup_k(10**6, 0.1, 0.1)
+    assert 0 < len(cdf_calls) <= 2
+    assert k == binom_sup_k_bisect(10**6, 0.1, 0.1)
 
 
 def test_binom_inf_p_brackets_a_tiny_level(cdf_calls):

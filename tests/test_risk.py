@@ -207,6 +207,20 @@ def test_ucb_rejects_nan_eps(method):
         ucb_lambda(losses, math.nan, 0.1, method=method)
 
 
+def test_ucb_rejects_eps_outside_its_range():
+    losses = Losses.zero_one(range(1, 101))
+    for eps in (0.0, -1.0, 1.0, 1.5, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            ucb_lambda(losses, eps, 0.1)
+    for eps in (0.0, -1.0, 1.5, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            ucb_lambda(losses, eps, 0.1, method="hoeffding")
+    # eps up to the loss bound B stays a Hoeffding level
+    assert ucb_lambda(losses, 1.0, 0.1, method="hoeffding") == 11.0
+    halves = Losses.steps([1.0], [[2.0, 0.5]] * 100, bound=2.0)
+    assert ucb_lambda(halves, 1.5, 0.1, method="hoeffding") == 1.0
+
+
 def test_ucb_matches_tolerance_rule():
     rng = np.random.default_rng(73)
     mismatches = 0
