@@ -4,9 +4,12 @@ Every calibrator in this package reduces to inverting one of three
 cumulative distribution functions, and the printed reference tables
 require those inversions to be exact.  The binomial and beta-binomial
 CDFs are therefore evaluated from first principles: pmf terms are generated
-by the ratio recurrence between neighbours, anchored at the mode,
-accumulated in extended precision and normalized by their own total, so no
-cancellation and no external special function enters the result.  The
+by the ratio recurrence between neighbours, anchored at the mode, and
+accumulated in extended precision.  Every value, at every k, is a sum of
+terms over the sum of all of them, so no cancellation and no external
+special function enters the result.  One binomial chain, ``_binom_chains``,
+serves ``binom_cdf`` and ltt's ``_binom_table`` under one stated error
+bound, ``_chain_err``; its counts stay below 2^64, else ValueError.  The
 regularized incomplete beta function comes from scipy, which evaluates the
 standard continued fraction.  scipy.special is imported at the first call
 that needs it (an inversion's guess or ``beta_reg``), not with the module,
@@ -16,7 +19,7 @@ The binomial inversions ``binom_sup_k`` (in k) and ``binom_inf_p`` (in p)
 are one bracketed bisection on the exact CDF, ``_boundary``.  scipy's
 continuous inversion (``bdtrik``, ``betainccinv``) gives a guess, and an
 end beside it counts once the exact CDF there clears the level by 1000
-times ``_cdf_err``, the stated worst-case relative error of ``binom_cdf``
+times ``_cdf_err``, ``binom_cdf``'s stated worst-case relative error
 at that point (about 1.1e-14 at n = 10^6).  The ends tried first sit as
 close to the guess as that slack allows: the adjacent counts for k, and
 for p the step over which the CDF's normal approximation puts two slacks
@@ -69,7 +72,7 @@ _BISECT_MAX_ITER = 1100
 # it, whose chains are longer only where the CDF has moved far more.
 _SLACK = 1000.0
 # Integers below this are exact in long double; its machine epsilon is the
-# u of ``_cdf_err``.
+# u of ``_chain_err``.
 _EXACT_COUNTS = 2 ** (np.finfo(np.longdouble).nmant + 1)
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 _GUESS_STEPS = (1e-9, 1e-6, 1e-3)
@@ -154,13 +157,30 @@ def _check_trials(name: str, n) -> int:
     return n
 
 
-def _binom_chains(n: int, p: float, anchor: int, lo_end: int, hi_end: int):
-    """Relative pmf terms around ``anchor``.
+def _chain_ends(n: int, p: float, lo: int, hi: int):
+    """Anchor and end counts of the pmf chain that covers counts lo..hi.
 
-    Returns (down, up) where down[j] = pmf(anchor-1-j)/pmf(anchor) covers
-    indices anchor-1 .. lo_end and up[j] = pmf(anchor+1+j)/pmf(anchor)
-    covers anchor+1 .. hi_end.
+    The anchor is the mode of Bin(n, p); the chain runs 12 sigma plus the
+    pad past min(lo, mode) and max(hi, mode), within 0..n.  Raises
+    ValueError when its top count reaches ``_EXACT_COUNTS``, where
+    long-double counts are no longer exact.
     """
+    window = int(_WINDOW_SIGMAS * math.sqrt(n * p * (1.0 - p))) + _WINDOW_PAD
+    anchor = min(n, int((n + 1) * p))
+    hi_end = min(n, max(hi, anchor) + window)
+    if hi_end >= _EXACT_COUNTS:
+        raise ValueError(
+            f"Bin(n={n}, p={p}) needs pmf terms up to count {hi_end}; "
+            f"long-double counts are exact only below {_EXACT_COUNTS}"
+        )
+    return anchor, max(0, min(lo, anchor) - window), hi_end
+
+
+def _binom_chains(n: int, p: float, lo: int, hi: int):
+    """(anchor, down, up) of the pmf chain ``_chain_ends`` gives for lo..hi:
+    down[j] = pmf(anchor-1-j)/pmf(anchor) runs down to the low end, and
+    up[j] = pmf(anchor+1+j)/pmf(anchor) up to the top end."""
+    anchor, lo_end, hi_end = _chain_ends(n, p, lo, hi)
     one = np.longdouble(1)
     pl = np.longdouble(p)
     ql = one - pl
@@ -171,30 +191,15 @@ def _binom_chains(n: int, p: float, anchor: int, lo_end: int, hi_end: int):
     if hi_end > anchor:
         i = np.arange(anchor, hi_end, dtype=np.longdouble)
         up = np.cumprod((n - i) * pl / ((i + one) * ql))
-    return down, up
-
-
-def _window(n: int, p: float):
-    """Mode of Bin(n, p), where the pmf chains are anchored, and how many
-    counts a chain runs past those it covers (12 sigma plus the pad)."""
-    window = int(_WINDOW_SIGMAS * math.sqrt(n * p * (1.0 - p))) + _WINDOW_PAD
-    return min(n, int((n + 1) * p)), window
-
-
-def _cdf_ends(k: int, n: int, p: float):
-    """Anchor and end counts of the chain ``binom_cdf`` builds, 0 <= k < n.
-
-    The chain covers k..anchor, or anchor..k + 1 when k lies above the
-    anchor, and the window past both sides, within 0..n.
-    """
-    anchor, window = _window(n, p)
-    if k <= anchor:
-        return anchor, max(0, k - window), min(n, anchor + window)
-    return anchor, max(0, anchor - window), min(n, k + 1 + window)
+    return anchor, down, up
 
 
 def binom_cdf(k, n, p: float) -> float:
     """Binomial CDF Bin(k; n, p) = sum_{i<=k} C(n,i) p^i (1-p)^(n-i).
+
+    The sum of the chain's terms up to k over the sum of all of them, on
+    either side of the mode, so nothing cancels.  Raises ValueError if the
+    chain needs counts from 2^64 on (``_chain_ends``).
 
     Parameters
     ----------
@@ -225,78 +230,59 @@ def binom_cdf(k, n, p: float) -> float:
     k = math.floor(k)
     if k < 0:
         return 0.0
-    if k >= n:
-        return 1.0
-    if p == 0.0:
+    if k >= n or p == 0.0:
         return 1.0
     if p == 1.0:
         return 0.0
-
-    anchor, lo_end, hi_end = _cdf_ends(k, n, p)
-    down, up = _binom_chains(n, p, anchor, lo_end, hi_end)
-    one = np.longdouble(1)
-    total = one + down.sum() + up.sum()
-    if k > anchor:
-        return float((total - up[k - anchor :].sum()) / total)
-    lower = one + down.sum() if k == anchor else down[anchor - 1 - k :].sum()
-    return float(lower / total)
+    anchor, down, up = _binom_chains(n, p, k, k)
+    below = np.longdouble(1) + down.sum()
+    total = below + up.sum()
+    if k < anchor:
+        return float(down[anchor - 1 - k :].sum() / total)
+    return float((below + up[: k - anchor].sum()) / total)
 
 
-def _chain_err(n: int, lo_end: int, hi_end: int) -> float:
-    """``_cdf_err`` of a value read from the pmf chain over lo_end..hi_end."""
-    if hi_end >= _EXACT_COUNTS:
-        return math.inf
+def _chain_err(n: int, p: float, lo: int, hi: int) -> float:
+    """Stated worst-case relative error of a value read from the chain
+    over lo..hi as a sum of its terms over the sum of all of them.
+
+    Let u be the long-double machine epsilon, twice its unit roundoff, so
+    that it absorbs second-order terms (m roundings in a product or
+    quotient move it by at most m u while m u <= 1), and L the length of
+    the chain ``_chain_ends`` gives.
+
+    - Each ratio of neighbouring terms takes r = 4 roundings (1 - p, two
+      products, the quotient), its counts being exact below
+      ``_EXACT_COUNTS``; past it n's conversion and the two count sums
+      add 3, so r = 7 (the chain's own counts stay below it).
+    - ``cumprod`` adds one rounding a step: each term is within (r + 1) L u.
+    - Any sum of at most L terms (pairwise, over slices or cumulative) is
+      a tree of depth below L, and a sum of positive terms keeps their
+      relative error, so both sums are within (r + 2) L u and their
+      quotient within ((2 r + 4) L + 1) u.
+
+    The stated ((2 r + 6) L + 2) u covers that, plus 2^-53 for the
+    conversion to double (results in its normal range) and 4 e^-72 for
+    the mass the window drops (``_WINDOW_SIGMAS``): e^-72 at the
+    numerator's low end and at each end of the total.  With the 80-bit
+    long double (u = 2^-63) at p = 0.1 it is about 1.1e-14 at n = 10^6 and
+    1e-12 near n = 10^10; with a plain double (u = 2^-52), 2048 times as
+    large.  The chain over lo..hi holds every k..k chain inside it, so its
+    bound covers their values too.
+    """
+    _, lo_end, hi_end = _chain_ends(n, p, lo, hi)
     r = 4 if n < _EXACT_COUNTS else 7
     length = hi_end - lo_end + 1
     return ((2 * r + 6) * length + 2) * _LD_EPS + 2.0**-53 + 4 * math.exp(-72)
 
 
 def _cdf_err(k, n: int, p: float) -> float:
-    """Stated worst-case relative error of ``binom_cdf(k, n, p)``.
-
-    Zero where ``binom_cdf`` returns an exact 0 or 1.  Otherwise let u be
-    the long-double machine epsilon, twice its unit roundoff, which
-    absorbs the second-order terms (m roundings anywhere in a product or
-    quotient move it by at most m u while m u <= 1), and L the length of
-    the chain ``_cdf_ends`` gives.
-
-    - Each ratio of neighbouring pmf terms takes r = 4 roundings (1 - p,
-      two products, the quotient), its counts being exact in long double
-      below ``_EXACT_COUNTS``.  For larger n, n's conversion and the two
-      count sums add 3, so r = 7; counts in the chain past it have no
-      bound (inf).
-    - ``cumprod`` adds one rounding per step, so every term, and any sum
-      of terms taken exactly, is within (r + 1) L u.
-    - Each sum adds at most L roundings to each term, since numpy's
-      pairwise sum stays within the linear bound.
-    - At or below the anchor the value is lower / total: 2 (r + 1) L for
-      the terms, 2 L for the sums and 1 for the quotient.
-    - Above it the value is (total - upper) / total.  The terms' errors
-      do not cancel, as total - upper is a sum of terms, but the sums'
-      errors, L u (total + upper), grow by (total + upper) / (total -
-      upper), which is at most 3 when the value is at least 1/2.  It is
-      when k >= n p, since the median of Bin(n, p) is at most ceil(n p).
-      So 2 (r + 1) L for the terms, 3 L + L for the sums and 2 for the
-      difference and the quotient.  A k above the anchor but below n p
-      takes float rounding of the anchor, so n >= 2^53 - 1; there no
-      bound is stated (inf).
-
-    To the larger count, ((2 r + 6) L + 2) u, add 2^-53 for the
-    conversion to double (for results in its normal range) and e^-72 of
-    the mass for each end the window drops (see ``_WINDOW_SIGMAS``),
-    doubled for the cancellation above the anchor.  With the 80-bit long
-    double (u = 2^-63) at p = 0.1 the bound is about 1.1e-14 at n = 10^6
-    and reaches 1e-12 near n = 10^10; with a plain double (u = 2^-52) it
-    is 2048 times as large.
-    """
+    """Stated worst-case relative error of ``binom_cdf(k, n, p)``: zero
+    where it returns an exact 0 or 1, else ``_chain_err`` of its chain."""
     k = math.floor(k)
     if k < 0 or k >= n or p == 0.0 or p == 1.0:
         return 0.0
-    anchor, lo_end, hi_end = _cdf_ends(k, n, p)
-    num, den = float(p).as_integer_ratio()
-    if k > anchor and k * den < n * num:
-        return math.inf
-    return _chain_err(n, lo_end, hi_end)
+    return _chain_err(n, p, k, k)
 
 
 def _slack(side: int, k, n: int, p: float) -> float:
@@ -304,36 +290,19 @@ def _slack(side: int, k, n: int, p: float) -> float:
     return side * _SLACK * _cdf_err(k, n, p) if side else 0.0
 
 
-def _table_ends(n: int, p: float, kmax: int):
-    """Anchor and top count of ``_binom_table``'s chain, which starts at 0."""
-    anchor, window = _window(n, p)
-    return anchor, min(n, max(anchor, kmax) + window)
-
-
 def _binom_table(n: int, p: float, kmax: int) -> np.ndarray:
     """Bin(k; n, p) for k = 0..kmax and 0 < p < 1, from one pmf chain.
 
-    ``binom_cdf``'s chain, run from the mode down to 0 and 12 sigma past
-    max(mode, kmax), gives cumulative sums over its total, so a value can
-    differ from ``binom_cdf``'s by an ulp.  Counts k >= n read 1.0.
+    The chain over 0..kmax, read by cumulative sums over its total, so a
+    value can differ from ``binom_cdf``'s by an ulp; each is within
+    ``_chain_err(n, p, 0, kmax)``.  Counts k >= n read 1.0.
     """
-    anchor, top = _table_ends(n, p, kmax)
-    down, up = _binom_chains(n, p, anchor, 0, top)
+    _, down, up = _binom_chains(n, p, 0, kmax)
     cum = np.cumsum(np.concatenate((down[::-1], np.ones(1, np.longdouble), up)))
     table = np.ones(kmax + 1)
     stop = min(kmax + 1, n)
     table[:stop] = cum[:stop] / cum[-1]
     return table
-
-
-def _table_err(n: int, p: float, kmax: int) -> float:
-    """Relative error bound of every ``_binom_table(n, p, kmax)`` value.
-
-    It is ``_chain_err`` of the table's chain: its cumulative sums never
-    cancel, and that chain holds ``binom_cdf``'s for every k <= kmax but
-    one count, so the bound covers those values too.
-    """
-    return _chain_err(n, 0, _table_ends(n, p, kmax)[1])
 
 
 def _boundary(lo, hi, half, ok, ends):

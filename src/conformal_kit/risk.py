@@ -34,7 +34,7 @@ import numpy as np
 
 from ._rational import as_fraction, on_grid
 from .dists import _SLACK, _bdtrik, _binom_table, _boundary, _check_prob
-from .dists import _check_trials, _table_err, binom_cdf, binom_inf_p
+from .dists import _chain_err, _check_trials, binom_cdf, binom_inf_p
 
 __all__ = ["Losses", "crc_lambda", "ucb_lambda", "ltt_lambda"]
 
@@ -309,7 +309,7 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     counts = np.minimum(_zero_one_counts(totals, n), n)
     kmax = int(counts.max(initial=0))
     table = _binom_table(n, eps, kmax)
-    band = max(_SLACK * _table_err(n, eps, kmax) * delta, 2.0**-1074)
+    band = max(_SLACK * _chain_err(n, eps, 0, kmax) * delta, 2.0**-1074)
     for k in np.flatnonzero(np.abs(table - delta) <= band).tolist():
         table[k] = binom_cdf(k, n, eps)
     above = np.flatnonzero(table[counts] > delta)

@@ -52,6 +52,35 @@ INF_P_CASES = {
     (87, 1000, 0.05): 0.1030806244285018,
 }
 
+# binom_cdf values frozen bit for bit (repr round-trips a double), so that
+# a refactor of the numerics that moves one shows; the comment says where
+# k sits against the chain's anchor, the mode min(n, floor((n + 1) p)).
+BINOM_CDF_BITS = {
+    (0, 1, 0.25): 0.75,  # mode
+    (2, 7, 0.5): 0.2265625,  # below
+    (5, 7, 0.5): 0.9375,  # above
+    (1, 37, 1e-06): 0.9999999993340155,  # above
+    (1, 37, 0.1): 0.10363063790672018,  # below
+    (6, 37, 0.1): 0.9289149417282427,  # above
+    (87, 1000, 0.1): 0.09192916210560996,  # below
+    (105, 1000, 0.1): 0.7220855940075,  # above
+    (130, 1000, 0.1): 0.9990305585092043,  # above
+    (998, 1000, 0.999999): 4.991677902470782e-07,  # below
+    (1999, 2000, 0.999): 0.8648000746025005,  # above
+    (950, 2000, 0.5): 0.013412073120140347,  # below
+    (1050, 2000, 0.5): 0.9880525473354765,  # above
+    (5, 100000, 0.0001): 0.06707650449728682,  # below
+    (15, 100000, 0.0001): 0.9512682764014707,  # above
+    (99500, 1000000, 0.1): 0.04787763846261579,  # below
+    (100000, 1000000, 0.1): 0.5008422104052018,  # mode
+    (100700, 1000000, 0.1): 0.9901766594627146,  # above
+    (499000, 1000000, 0.5): 0.02280414993269104,  # below
+    (501000, 1000000, 0.5): 0.9773038320453279,  # above
+    (0, 1000000, 1e-06): 0.3678792572316451,  # below
+    (3, 1000000, 1e-06): 0.9810119044370966,  # above
+    (999998, 1000000, 0.999999): 0.26424111766766334,  # below
+}
+
 
 def test_binom_cdf_edges():
     assert binom_cdf(-1, 10, 0.3) == 0.0
@@ -62,6 +91,11 @@ def test_binom_cdf_edges():
     assert binom_cdf(3, 10, 1.0) == 0.0
     # non-integer k truncates
     assert binom_cdf(2.7, 10, 0.3) == binom_cdf(2, 10, 0.3)
+
+
+def test_binom_cdf_frozen_bits():
+    for (k, n, p), want in BINOM_CDF_BITS.items():
+        assert _bits(binom_cdf(k, n, p)) == _bits(want), (k, n, p)
 
 
 def test_binom_cdf_validation():
@@ -120,25 +154,46 @@ def test_binom_cdf_large_n_vs_mpsum(k, n, p):
     assert binom_cdf(k, n, p) == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("p", [1e-6, 0.1, 0.5, 1 - 1e-6])
+_BOUND_CASES = [
+    (n, oracle, p)
+    for n, oracle in [
+        (37, binom_cdf_mp), (2000, binom_cdf_mp), (999_983, binom_cdf_mpsum)
+    ]
+    for p in (1e-6, 0.1, 0.5, 1 - 1e-6)
+] + [
+    (2**60 + 12345, binom_cdf_mpsum, 3e-17),
+    (2**70 + 3, binom_cdf_mpsum, 2e-19),
+]
+
+
 @pytest.mark.parametrize(
-    "n, oracle",
-    [(37, binom_cdf_mp), (2000, binom_cdf_mp), (999_983, binom_cdf_mpsum)],
-    ids=["37", "2000", "999983"],
+    "n, oracle, p", _BOUND_CASES, ids=[f"{n}-{p}" for n, _, p in _BOUND_CASES]
 )
 def test_binom_cdf_within_its_stated_bound(n, oracle, p):
     # counts 8 sigma out in both tails, the extreme counts, and either side
-    # of the delta = 0.1 quantile; betainc raises NoConvergence near 10^6
+    # of the delta = 0.1 quantile; betainc raises NoConvergence near 10^6.
+    # Past 2^64 the bound takes r = 7 roundings per ratio.  Past 2^53 the
+    # top count is left out, as its chain would hold all n counts, and the
+    # counts either side of the mean stand in for the quantile: bdtrik
+    # gives NaN there, and binom_sup_k's plain bisection probes near n / 2.
     mean, sd = n * p, math.sqrt(n * p * (1 - p))
-    k_delta = binom_sup_k(n, p, 0.1)
+    k_delta = binom_sup_k(n, p, 0.1) if n < 2**53 else math.floor(mean)
     counts = {0, math.floor(mean - 8 * sd), k_delta, k_delta + 1}
-    counts |= {math.ceil(mean + 8 * sd), n - 1}
+    counts |= {math.ceil(mean + 8 * sd), n - 1 if n < 2**53 else 0}
     for k in sorted(k for k in counts if 0 <= k < n):
-        want = oracle(k, n, p, dps=50)
+        want = oracle(k, n, p, dps=60 if n > 2**53 else 50)
         if want < 2.0**-1022:
             continue  # the bound covers results in double's normal range
         err = abs(mpmath.mpf(binom_cdf(k, n, p)) - want) / want
         assert err <= dists._cdf_err(k, n, p), (k, n, p)
+
+
+def test_binom_cdf_raises_past_exact_long_double_counts():
+    # counts near 10^20 are 8 apart in long double, so the ratios between
+    # neighbouring terms of this ~7300-term chain are wrong: its read gives
+    # 1.0 where the exact value is about 0.5016
+    with pytest.raises(ValueError, match="long-double counts are exact"):
+        binom_cdf(10**20 - 88817, 10**20, 1 - 2**-50)
 
 
 def test_binom_cdf_matches_scipy_on_grid():
@@ -308,9 +363,14 @@ def test_binom_table_matches_binom_cdf(n, log_eps, data):
     table = dists._binom_table(n, eps, kmax)
     want = np.array([binom_cdf(k, n, eps) for k in range(kmax + 1)])
     assert table.shape == want.shape
+    # each is within its stated bound of the exact value, and the table's
+    # chain holds every binom_cdf chain up to kmax, so ltt's settle band,
+    # drawn from the table's bound alone, covers both
+    bound = dists._chain_err(n, eps, 0, kmax)
+    assert all(dists._chain_err(n, eps, k, k) <= bound for k in range(kmax + 1))
     normal = want >= 2.0**-1022
     err = np.abs(table - want)[normal]
-    assert np.all(err <= 1e-12 * want[normal]), (n, eps, kmax)
+    assert np.all(err <= 2 * bound * want[normal]), (n, eps, kmax)
 
 
 @pytest.fixture
