@@ -119,7 +119,8 @@ def equivalence_suite(
     demands bitwise equality of crc with the marginal calibrator and of
     exact-binomial ucb with the tolerance calibrator.  Then, on a few
     continuous sets, checks that the smallest threshold kept by
-    fixed-sequence testing sits within one grid step of the ucb choice.
+    fixed-sequence testing sits at or above the ucb choice, within one
+    grid step of it.
     """
     q_fn = q_fn or _default_q
     p_fn = p_fn or _default_p
@@ -153,17 +154,9 @@ def equivalence_suite(
         grid = np.linspace(vals.min() - 0.5, vals.max() + 0.5, _LTT_GRID_SIZE)
         step = float(grid[1] - grid[0])
         lam_ltt = ltt_lambda(losses, eps, delta, grid)
-        if math.isinf(lam_ucb):
-            if not math.isinf(lam_ltt):
-                ltt_bad += 1
-            continue
-        if math.isinf(lam_ltt):
-            ltt_bad += 1
-            continue
-        gap = abs(lam_ltt - lam_ucb)
-        max_gap = max(max_gap, gap)
-        if gap > step:
-            ltt_bad += 1
+        ltt_bad += not lam_ucb <= lam_ltt <= lam_ucb + step
+        if math.isfinite(lam_ucb) and math.isfinite(lam_ltt):
+            max_gap = max(max_gap, abs(lam_ltt - lam_ucb))
 
     failures = crc_bad + ucb_bad + ltt_bad
     return SuiteResult(
@@ -186,24 +179,23 @@ def sandwich_suite() -> SuiteResult:
     values is equally likely, so exact coverage is a rational count.  It
     must land in [1 - alpha, 1 - alpha + 1/(n+1)] with no float slack.
     """
+    levels = (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10))
+    cases = [(n, alpha) for n in range(2, 7) for alpha in levels]
     violations = []
-    for n in range(2, 7):
+    for n, alpha in cases:
         base = np.arange(1.0, n + 2.0)
-        for alpha in (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10)):
-            covered = 0
-            for t in range(n + 1):
-                cal = np.delete(base, t)
-                lam = q_hat(NonconformityScores(cal), alpha).lambda_hat
-                covered += base[t] <= lam
-            cov = Fraction(covered, n + 1)
-            lo = 1 - alpha
-            hi = 1 - alpha + Fraction(1, n + 1)
-            if not (lo <= cov <= hi):
-                violations.append((n, float(alpha), float(cov)))
+        covered = 0
+        for t in range(n + 1):
+            cal = np.delete(base, t)
+            lam = q_hat(NonconformityScores(cal), alpha).lambda_hat
+            covered += base[t] <= lam
+        cov = Fraction(covered, n + 1)
+        if not 1 - alpha <= cov <= 1 - alpha + Fraction(1, n + 1):
+            violations.append((n, float(alpha), float(cov)))
     return SuiteResult(
         name="sandwich",
         passed=not violations,
-        detail={"cases": 15, "violations": violations},
+        detail={"cases": len(cases), "violations": violations},
     )
 
 

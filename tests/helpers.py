@@ -89,7 +89,7 @@ def binom_cdf_exact(k: int, n: int, p: Fraction) -> Fraction:
 
 
 def binom_inf_p_mp(k: int, n: int, delta, dps: int = 40) -> mpmath.mpf:
-    """Root of Bin(k; n, p) = delta in p, by mpmath bisection."""
+    """Root of Bin(k; n, p) = delta in p, by 2 * dps mpmath halvings."""
     if k < 0:
         return mpmath.mpf(0)
     if k >= n:
@@ -97,7 +97,7 @@ def binom_inf_p_mp(k: int, n: int, delta, dps: int = 40) -> mpmath.mpf:
     with mpmath.workdps(dps):
         d = mpmath.mpf(delta)
         lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        for _ in range(dps * 4):
+        for _ in range(dps * 2):
             mid = (lo + hi) / 2
             if binom_cdf_mp(k, n, mid, dps=dps) <= d:
                 hi = mid

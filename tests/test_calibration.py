@@ -22,7 +22,7 @@ from conformal_kit.calibration import (
     tolerance_delta_given_alpha,
     tolerance_eps_given_alpha,
 )
-from conformal_kit.dists import BetaParams, beta_reg, binom_cdf
+from conformal_kit.dists import BetaParams, beta_reg
 from conformal_kit.risk import Losses, crc_lambda
 
 from helpers import sort_scores
@@ -156,14 +156,6 @@ def test_delta_given_alpha_values():
     assert got == pytest.approx(scipy.stats.binom.cdf(12, 57, 0.4), rel=1e-12)
 
 
-def test_eps_given_alpha_is_inf_p():
-    assert tolerance_eps_given_alpha(1000, 0.1, 0.1) == 0.11220307321122522
-    assert tolerance_eps_given_alpha(100, 0.001, 0.1) == 0.0
-    v = tolerance_eps_given_alpha(213, 0.15, 0.05)
-    assert binom_cdf(math.floor(0.15 * 214 - 1), 213, v) <= 0.05
-    assert binom_cdf(math.floor(0.15 * 214 - 1), 213, np.nextafter(v, 0)) > 0.05
-
-
 def test_duality_round_trips():
     rng = np.random.default_rng(43)
     for _ in range(80):
@@ -248,17 +240,6 @@ def test_eps_given_alpha_round_trip_property(data):
     below = math.nextafter(e, 0.0)
     if 0.0 < below < 1.0:
         assert plan(n, Tolerance(below, delta)).order_index > rank
-
-
-def test_alpha_given_tolerance_reference():
-    got = plan(1000, Tolerance(0.1, 0.1))
-    assert got.dual.alpha == Fraction(88, 1001)
-    assert not got.full_set
-    # printed significance level in percent
-    assert float(got.dual.alpha) == pytest.approx(0.0879, abs=5e-5)
-    infeasible = plan(50, Tolerance(0.01, 0.05))
-    assert infeasible.full_set
-    assert infeasible.dual.alpha == Fraction(1, 51)
 
 
 @pytest.mark.parametrize(

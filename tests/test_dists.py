@@ -220,14 +220,6 @@ def test_binom_cdf_monotone_in_k_and_p():
         assert all(a >= b - 1e-15 for a, b in zip(in_p, in_p[1:]))
 
 
-def test_binom_sup_k_known_values():
-    assert binom_sup_k(1000, 0.1, 0.1) == 87
-    assert binom_sup_k(100, 0.1, 0.1) == 5
-    assert binom_sup_k(10000, 0.01, 0.05) == 83
-    assert binom_sup_k(100000, 0.001, 0.001) == 70
-    assert binom_sup_k(100, 0.001, 0.1) == -1
-
-
 def test_binom_sup_k_brackets_delta():
     rng = np.random.default_rng(7)
     for _ in range(80):

@@ -9,7 +9,6 @@ import pytest
 from conformal_kit import calibration
 from conformal_kit.calibration import Marginal, Tolerance
 from conformal_kit.dists import (
-    BetaBinParams,
     BetaParams,
     beta_reg,
     binom_inf_p,
@@ -298,49 +297,10 @@ def test_summarize_validation():
         summarize(wrong, law, 0.2, 0.3, 10)
 
 
-# Reference matrices: rows are delta = 10%, 5%, 1%, 0.5%, 0.1%; columns
-# are eps (resp. alpha) at the same levels.
-COUNTS_1000 = [
-    [87, 40, 5, 1, 0],
-    [84, 38, 4, 1, 0],
-    [78, 34, 2, 0, 0],
-    [75, 32, 2, 0, 0],
-    [71, 29, 1, 0, 0],
-]
-
-EPS_PCT_1000 = [
-    ["11.2203", "5.8942", "1.4169", "0.7977", "0.2299"],
-    ["11.5924", "6.1758", "1.5652", "0.9129", "0.2991"],
-    ["12.3092", "6.7257", "1.8691", "1.1560", "0.4594"],
-    ["12.5776", "6.9342", "1.9888", "1.2540", "0.5284"],
-    ["13.1413", "7.3760", "2.2503", "1.4714", "0.6883"],
-]
-
-
 def _block(table: str, n: int):
     lines = table.splitlines()
     start = lines.index(f"n = {n}") + 2
     return [line.split()[1:] for line in lines[start : start + 5]]
-
-
-def test_tables_reference_block():
-    counts, eps_table = tolerance_tables()
-    got_counts = [[int(c) for c in row] for row in _block(counts, 1000)]
-    assert got_counts == COUNTS_1000
-    assert _block(eps_table, 1000) == EPS_PCT_1000
-
-
-def test_tables_spot_cells():
-    counts, eps_table = tolerance_tables()
-    assert _block(counts, 100)[0][0] == "5"
-    assert _block(counts, 100000)[4][0] == "9707"
-    assert _block(counts, 10000)[2][2] == "77"
-    assert _block(eps_table, 100)[0][3] == "0.0000"  # k < 0: degenerate
-    assert _block(eps_table, 100000)[4][0] == "10.2953"
-
-
-def test_tables_byte_stable():
-    assert tolerance_tables() == tolerance_tables()
 
 
 def test_tables_custom_inputs():

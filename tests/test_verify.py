@@ -1,14 +1,18 @@
 """The self-check suites pass, and actually catch injected breakage."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
+from conformal_kit import verify
 from conformal_kit.calibration import p_hat, q_hat
 from conformal_kit.verify import (
     SUITE_NAMES,
     equivalence_suite,
+    identity_suite,
     run_suites,
+    sandwich_suite,
 )
 
 
@@ -45,6 +49,20 @@ def test_equivalence_catches_inflated_tolerance():
     result = equivalence_suite(trials=60, seed=0, p_fn=doubled)
     assert not result.passed
     assert result.detail["ucb_mismatches"] > 0
+
+
+def test_sandwich_catches_a_rank_too_low(monkeypatch):
+    real = verify.q_hat
+    monkeypatch.setattr(verify, "q_hat", lambda s, a: real(s, a + Fraction(1, s.n + 1)))
+    result = sandwich_suite()
+    assert not result.passed and result.detail["violations"]
+
+
+def test_identity_catches_a_skewed_binomial_tail(monkeypatch):
+    real = verify.binom_cdf
+    monkeypatch.setattr(verify, "binom_cdf", lambda *a: real(*a) * (1 + 1e-9))
+    result = identity_suite()
+    assert not result.passed and result.detail["max_abs_diff"] >= 1e-10
 
 
 def test_trial_override_reaches_suites():
