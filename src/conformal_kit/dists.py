@@ -8,27 +8,27 @@ by the ratio recurrence between neighbours, anchored at the mode, and
 accumulated in extended precision.  Every value, at every k, is a sum of
 terms over the sum of all of them, so no cancellation and no external
 special function enters the result.  One binomial chain, ``_binom_chains``,
-serves ``binom_cdf`` and ltt's ``_binom_table`` under one stated error
-bound, ``_chain_err``; its counts stay below 2^64, else ValueError.  The
-regularized incomplete beta function comes from scipy, which evaluates the
-standard continued fraction.  scipy.special is imported at the first call
-that needs it (an inversion's guess or ``beta_reg``), not with the module,
-so code that only reads order statistics never loads it.
+serves ``binom_cdf`` and the table read ``_binom_table`` under one stated
+error bound, ``_chain_err``; its counts stay below 2^64, else ValueError.
+The regularized incomplete beta function comes from scipy, which evaluates
+the standard continued fraction.  scipy.special is imported at the first
+call that needs it (a guess for ``binom_inf_p`` or ucb, or ``beta_reg``),
+not with the module, so code that only reads order statistics or binomial
+counts never loads it.
 
-The binomial inversions ``binom_sup_k`` (in k) and ``binom_inf_p`` (in p)
-are one bracketed bisection on the exact CDF, ``_boundary``.  scipy's
-continuous inversion (``bdtrik``, ``betainccinv``) gives a guess, and an
-end beside it counts once the exact CDF there clears the level by 1000
-times ``_cdf_err``, ``binom_cdf``'s stated worst-case relative error
-at that point (about 1.1e-14 at n = 10^6).  The ends tried first sit as
-close to the guess as that slack allows: the adjacent counts for k, and
-for p the step over which the CDF's normal approximation puts two slacks
-of change, so the bracket is narrower the larger n is.  The CDF is
-monotone, so every probe beyond a certified end has that end's outcome
-and skips the CDF; only probes inside the bracket evaluate it, near the
-root, where its chains are short.  The probe sequence and the result are
-those of the plain bisection, bit for bit; an end that fails to certify,
-or a guess that is not finite, leaves that side to the plain bisection.
+The decisions Bin(k; n, eps) <= delta over many counts, in ``binom_sup_k``
+(the inversion in k) and ltt's tests, read one chain as a table of every
+count and let ``binom_cdf`` settle the values near delta
+(``_binom_exceeds``).  The inversion in p, ``binom_inf_p``, bisects the
+exact CDF (``_boundary``) from a bracket beside scipy's ``betainccinv``
+guess: an end counts once the CDF there clears the level by 1000 times
+``_cdf_err``, ``binom_cdf``'s stated worst-case relative error (about
+1.1e-14 at n = 10^6), and the ends tried first sit where the CDF's normal
+approximation puts two such slacks of change, nearer the larger n is.
+Every probe beyond a certified end takes its outcome without the CDF, so
+the probe sequence and the result are the plain bisection's, bit for bit;
+an end that fails to certify, or a guess that is not finite, leaves that
+side to the plain bisection.
 
 Integer inversions follow the lower quantile convention throughout: the
 largest k whose CDF does not exceed the level, -1 when there is none.
@@ -76,11 +76,13 @@ _SLACK = 1000.0
 _EXACT_COUNTS = 2 ** (np.finfo(np.longdouble).nmant + 1)
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 _GUESS_STEPS = (1e-9, 1e-6, 1e-3)
+# binom_sup_k's restarts, each step twice the last: count 0 from any below 2^64
+_MAX_RESTARTS = 64
 _STD_NORMAL = NormalDist()
 
 
 def _bdtrik(y, n, p):
-    from scipy.special import bdtrik  # loaded at the first inversion
+    from scipy.special import bdtrik  # loaded at ucb's first guess
 
     return bdtrik(y, n, p)
 
@@ -285,24 +287,39 @@ def _cdf_err(k, n: int, p: float) -> float:
     return _chain_err(n, p, k, k)
 
 
-def _slack(side: int, k, n: int, p: float) -> float:
-    """``side`` times the certification slack at Bin(k; n, p), 0 if side is 0."""
-    return side * _SLACK * _cdf_err(k, n, p) if side else 0.0
+def _binom_table(n: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """Bin(k; n, p) for k = lo up to the top of its chain, and 0 < p < 1.
 
-
-def _binom_table(n: int, p: float, kmax: int) -> np.ndarray:
-    """Bin(k; n, p) for k = 0..kmax and 0 < p < 1, from one pmf chain.
-
-    The chain over 0..kmax, read by cumulative sums over its total, so a
-    value can differ from ``binom_cdf``'s by an ulp; each is within
-    ``_chain_err(n, p, 0, kmax)``.  Counts k >= n read 1.0.
+    The chain ``_binom_chains`` gives for lo..hi, read by cumulative sums
+    over its total, so a value can differ from ``binom_cdf``'s by an ulp;
+    each is within ``_chain_err(n, p, lo, hi)``.  The top count is at
+    least min(hi, n) and reads 1.0.
     """
-    _, down, up = _binom_chains(n, p, 0, kmax)
-    cum = np.cumsum(np.concatenate((down[::-1], np.ones(1, np.longdouble), up)))
-    table = np.ones(kmax + 1)
-    stop = min(kmax + 1, n)
-    table[:stop] = cum[:stop] / cum[-1]
-    return table
+    anchor, down, up = _binom_chains(n, p, lo, hi)
+    start = lo - (anchor - down.size)
+    cum = np.concatenate((down[::-1], np.ones(1, np.longdouble), up))
+    del down, up
+    np.cumsum(cum, out=cum)
+    return np.divide(cum[start:], cum[-1], out=np.empty(cum.size - start))
+
+
+def _binom_exceeds(n: int, p: float, lo: int, hi: int, delta: float) -> np.ndarray:
+    """Whether Bin(k; n, p) > delta, for k from lo in ``_binom_table`` up to
+    its top, or up to the first count from hi on that exceeds delta (so a
+    delta near 1 does not settle the whole upper tail).
+
+    ``binom_cdf`` settles, in ascending order, the values within
+    max(``_SLACK`` times the table's bound times delta, 2^-1074) of delta;
+    its chain at k lies inside the table's for k <= hi and at most one
+    window past it above, so the two agree on every other value.
+    """
+    table = _binom_table(n, p, lo, hi)
+    band = max(_SLACK * _chain_err(n, p, lo, hi) * delta, 2.0**-1074)
+    for i in np.flatnonzero(np.abs(table - delta) <= band).tolist():
+        table[i] = binom_cdf(lo + i, n, p)
+        if lo + i >= hi and table[i] > delta:
+            return table[: i + 1] > delta
+    return table > delta
 
 
 def _boundary(lo, hi, half, ok, ends):
@@ -342,13 +359,16 @@ def _boundary(lo, hi, half, ok, ends):
 def binom_sup_k(n, eps: float, delta: float) -> int:
     """Largest k in {0..n} with Bin(k; n, eps) <= delta, -1 if there is none.
 
-    The CDF is non-decreasing in k, so a binary search over (-1, n] finds
-    the last k that meets delta.  It returns -1 exactly when even k = 0
-    exceeds delta, i.e. (1 - eps)^n > delta; callers map that to the
-    degenerate full-set calibration, since collapsing it to k = 0 would
-    silently weaken the guarantee.  The bracket ends are the counts either
-    side of scipy's ``bdtrik`` guess, then one count further out (see the
-    module docstring).
+    It returns -1 exactly when even k = 0 exceeds delta, i.e.
+    (1 - eps)^n > delta; callers map that to the degenerate full-set
+    calibration, since collapsing it to k = 0 would silently weaken the
+    guarantee.  The CDF is non-decreasing in k, so the answer is the count
+    before the first that exceeds delta in one read from below it
+    (``_binom_exceeds``).  The read starts two counts below the
+    skew-corrected normal quantile n eps + z sigma + (z^2 - 1)(1 - 2 eps)/6
+    and, while its first count exceeds delta, restarts lower by steps that
+    double from ``_WINDOW_PAD``, at most ``_MAX_RESTARTS`` times; then
+    ArithmeticError.
 
     Examples
     --------
@@ -360,18 +380,16 @@ def binom_sup_k(n, eps: float, delta: float) -> int:
     n = _check_trials("n", n)
     eps = _check_prob("eps", eps, open_interval=True)
     delta = _check_prob("delta", delta, open_interval=True)
-    g = float(_bdtrik(delta, n, eps))
-    ends = []
-    if math.isfinite(g):
-        ends = [(math.floor(g), math.ceil(g)), (math.floor(g) - 1, math.ceil(g) + 1)]
-    lo, _ = _boundary(
-        -1,
-        n,
-        lambda lo, hi: (lo + hi) // 2,
-        lambda k, side: binom_cdf(k, n, eps) > delta * (1.0 + _slack(side, k, n, eps)),
-        ends,
-    )
-    return lo
+    z = _STD_NORMAL.inv_cdf(delta)
+    sigma = math.sqrt(n * eps * (1.0 - eps))
+    skew = (z * z - 1.0) * (1.0 - 2.0 * eps) / 6.0
+    lo = min(n, max(0, math.floor(n * eps + z * sigma + skew) - 2))
+    for restart in range(_MAX_RESTARTS + 1):
+        over = _binom_exceeds(n, eps, lo, lo, delta)
+        if lo == 0 or not over[0]:
+            return lo + int(np.argmax(over)) - 1
+        lo = max(0, lo - (_WINDOW_PAD << restart))
+    raise ArithmeticError(f"no read began below the answer in {_MAX_RESTARTS} restarts")
 
 
 def _inf_p_slope(n: int, delta: float, g: float) -> float:
@@ -430,7 +448,8 @@ def binom_inf_p(k, n, delta: float) -> float:
         0.0,
         1.0,
         lambda lo, hi: 0.5 * (lo + hi),
-        lambda p, side: binom_cdf(k, n, p) <= delta * (1.0 - _slack(side, k, n, p)),
+        lambda p, side: binom_cdf(k, n, p)
+        <= delta * (1.0 - side * _SLACK * _cdf_err(k, n, p)),
         ends,
     )
     return hi

@@ -33,8 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._rational import as_fraction, on_grid
-from .dists import _SLACK, _bdtrik, _binom_table, _boundary, _check_prob
-from .dists import _chain_err, _check_trials, binom_cdf, binom_inf_p
+from .dists import _bdtrik, _binom_exceeds, _boundary, _check_prob, _check_trials
+from .dists import binom_inf_p
 
 __all__ = ["Losses", "crc_lambda", "ucb_lambda", "ltt_lambda"]
 
@@ -278,10 +278,9 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     each test, no correction for the grid size, and stops at the first
     p-value above delta.  Returns the smallest threshold it rejects, one
     past the last grid point whose p-value exceeds delta, or +inf when
-    that is the top one.  Every p-value is read from one table of
-    Bin(.; n, eps), so the route is O(n) plus the grid; ``binom_cdf``
-    settles the table values within the table's certification slack of
-    delta, where its rounding could flip the test.
+    that is the top one.  Every test is decided by one read of
+    Bin(.; n, eps) over the counts, ``dists._binom_exceeds``, the read
+    ``binom_sup_k`` decides through, so the route is O(n) plus the grid.
 
     Parameters
     ----------
@@ -307,11 +306,7 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     n = losses.n
     totals = losses.totals[np.searchsorted(losses.lambdas, lam, side="right")]
     counts = np.minimum(_zero_one_counts(totals, n), n)
-    kmax = int(counts.max(initial=0))
-    table = _binom_table(n, eps, kmax)
-    band = max(_SLACK * _chain_err(n, eps, 0, kmax) * delta, 2.0**-1074)
-    for k in np.flatnonzero(np.abs(table - delta) <= band).tolist():
-        table[k] = binom_cdf(k, n, eps)
-    above = np.flatnonzero(table[counts] > delta)
+    over = _binom_exceeds(n, eps, 0, int(counts.max(initial=0)), delta)
+    above = np.flatnonzero(over[counts])
     first = int(above[-1]) + 1 if above.size else 0
     return float(lam[first]) if first < lam.size else math.inf

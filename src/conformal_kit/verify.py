@@ -8,9 +8,6 @@ sandwich on tiny calibration sets, the order-statistic tail identity
 between the two independent CDF implementations, the coverage-law KS
 check on a seeded synthetic experiment, and p-value super-uniformity
 with family-wise error control of the fixed-sequence procedure.
-
-The randomized suites accept the calibrators as parameters so a test can
-inject a deliberately broken one and confirm the suite catches it.
 """
 
 from __future__ import annotations
@@ -52,14 +49,6 @@ class SuiteResult:
     name: str
     passed: bool
     detail: dict
-
-
-def _default_q(scores: NonconformityScores, alpha) -> float:
-    return q_hat(scores, alpha).lambda_hat
-
-
-def _default_p(scores: NonconformityScores, eps: float, delta: float) -> float:
-    return p_hat(scores, eps, delta).lambda_hat
 
 
 def duality_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
@@ -110,9 +99,7 @@ def duality_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
     )
 
 
-def equivalence_suite(
-    trials: int = 200, seed: int = 0, q_fn=None, p_fn=None
-) -> SuiteResult:
+def equivalence_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Risk-control routes against quantile calibration on 0-1 losses.
 
     Draws random score sets (half of them rounded to force ties) and
@@ -122,8 +109,6 @@ def equivalence_suite(
     fixed-sequence testing sits at or above the ucb choice, within one
     grid step of it.
     """
-    q_fn = q_fn or _default_q
-    p_fn = p_fn or _default_p
     rng = np.random.default_rng(seed)
     crc_bad = 0
     ucb_bad = 0
@@ -136,12 +121,12 @@ def equivalence_suite(
         losses = Losses.zero_one(vals)
 
         alpha = float(rng.uniform(0.02, 0.95))
-        if crc_lambda(losses, alpha) != q_fn(scores, alpha):
+        if crc_lambda(losses, alpha) != q_hat(scores, alpha).lambda_hat:
             crc_bad += 1
 
         eps = float(rng.uniform(0.02, 0.6))
         delta = float(rng.uniform(0.02, 0.6))
-        if ucb_lambda(losses, eps, delta) != p_fn(scores, eps, delta):
+        if ucb_lambda(losses, eps, delta) != p_hat(scores, eps, delta).lambda_hat:
             ucb_bad += 1
 
     ltt_bad = 0
@@ -269,7 +254,7 @@ def superuniform_suite(trials: int = 2000, seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
 
     counts = rng.binomial(n, eps, size=trials)
-    sample = _binom_table(n, eps, int(counts.max(initial=0)))[counts]
+    sample = _binom_table(n, eps, 0, int(counts.max(initial=0)))[counts]
     grid_u = np.arange(0.01, 1.0, 0.01)
     slack_u = 3.0 * np.sqrt(grid_u * (1.0 - grid_u) / trials)
     emp = (sample[:, None] <= grid_u[None, :]).mean(axis=0)

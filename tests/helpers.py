@@ -4,12 +4,13 @@ Everything here is deliberately implemented with tools the library itself
 does not use for the quantity under test (mpmath multi-precision, exact
 Fraction arithmetic, scipy.stats reference distributions), so that each
 numerical claim is checked through two unrelated routes.  The two
-``*_bisect`` searches are the exception: they replay ``binom_sup_k`` and
-``binom_inf_p`` with every probe evaluated by the package's own
-``binom_cdf``, the reference the bracketed searches must match bit for bit;
-``ltt_walk`` replays ``ltt_lambda`` with one ``binom_cdf`` p-value per
-grid point and the fixed-sequence walk taken one point at a time, and
-``ucb_scan`` replays exact-binomial ``ucb_lambda`` with one
+``*_bisect`` searches are the exception: plain bisections with every probe
+evaluated by the package's own ``binom_cdf``.  ``binom_sup_k_bisect`` is
+the reference ``binom_sup_k``'s one-chain read must match, and
+``binom_inf_p_bisect`` the one the bracketed ``binom_inf_p`` must match
+bit for bit; ``ltt_walk`` replays ``ltt_lambda`` with one ``binom_cdf``
+p-value per grid point and the fixed-sequence walk taken one point at a
+time, and ``ucb_scan`` replays exact-binomial ``ucb_lambda`` with one
 ``binom_inf_p`` per candidate threshold.
 Likewise the two harness loops at the end replay ``tune_nominal_quantiles``
 with one fitted predictor per (candidate, fold) and ``run_trials`` with the

@@ -204,9 +204,11 @@ def test_cached_parser_keeps_its_defaults(capsys):
 
 
 def test_import_leaves_scipy_spatial_unloaded(tmp_path):
-    # a marginal split or crc calibration needs no special function, so
-    # it should not pay for importing scipy; a tolerance inversion loads
-    # scipy.special, and only the k-NN predictor needs scipy.spatial
+    # a marginal split or crc calibration needs no special function, and
+    # neither does a split or ltt tolerance one, whose binomial decisions
+    # are one chain read, so none of them pays for importing scipy; ucb's
+    # binom_inf_p loads scipy.special, and only the k-NN predictor needs
+    # scipy.spatial
     src = str(Path(cli.__file__).resolve().parents[1])
     scores = write_scores(tmp_path, np.arange(1.0, 101.0))
     script = f"""
@@ -219,8 +221,10 @@ def calibrate(*flags):
 
 for method in ("split", "crc"):
     calibrate("--alpha", "0.1", "--method", method)
+for method in ("split", "ltt"):
+    calibrate("--eps", "0.1", "--delta", "0.1", "--method", method)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-calibrate("--eps", "0.1", "--delta", "0.1")
+calibrate("--eps", "0.1", "--delta", "0.1", "--method", "ucb")
 print("scipy.special" in sys.modules, "scipy.spatial" in sys.modules)
 """
     proc = subprocess.run(

@@ -8,6 +8,7 @@ multi-precision summation, or scipy's betainc-based reference.
 import math
 import struct
 from fractions import Fraction
+from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -173,11 +174,9 @@ def test_binom_cdf_within_its_stated_bound(n, oracle, p):
     # counts 8 sigma out in both tails, the extreme counts, and either side
     # of the delta = 0.1 quantile; betainc raises NoConvergence near 10^6.
     # Past 2^64 the bound takes r = 7 roundings per ratio.  Past 2^53 the
-    # top count is left out, as its chain would hold all n counts, and the
-    # counts either side of the mean stand in for the quantile: bdtrik
-    # gives NaN there, and binom_sup_k's plain bisection probes near n / 2.
+    # top count is left out, as its chain would hold all n counts.
     mean, sd = n * p, math.sqrt(n * p * (1 - p))
-    k_delta = binom_sup_k(n, p, 0.1) if n < 2**53 else math.floor(mean)
+    k_delta = binom_sup_k(n, p, 0.1)
     counts = {0, math.floor(mean - 8 * sd), k_delta, k_delta + 1}
     counts |= {math.ceil(mean + 8 * sd), n - 1 if n < 2**53 else 0}
     for k in sorted(k for k in counts if 0 <= k < n):
@@ -235,6 +234,15 @@ def test_binom_sup_k_brackets_delta():
             assert binom_cdf(want, n, float(eps)) <= float(delta)
             if want < n:
                 assert binom_cdf(want + 1, n, float(eps)) > float(delta)
+
+
+def test_binom_sup_k_past_the_range_of_a_continuous_guess():
+    # scipy's bdtrik gives NaN from n = 10^18 on; the answer needs a chain
+    # of about 160 terms
+    n, eps = 2**60 + 12345, 3e-17
+    k = binom_sup_k(n, eps, 0.1)
+    assert k == 26
+    assert binom_cdf(k, n, eps) <= 0.1 < binom_cdf(k + 1, n, eps)
 
 
 def test_binom_sup_k_infeasible_iff_zero_count_fails():
@@ -314,14 +322,13 @@ def test_inversions_replay_plain_bisection_near_a_million(n, data):
 def test_inversions_without_a_usable_guess(monkeypatch, sigmas, slope_scale):
     # a NaN guess certifies no end; one 10 sigma off certifies at most the
     # end on its own side of the root; a slope 10^6 too small skips the
-    # slope-sized step, one 10^6 too large certifies no end at it
-    bdtrik, betainccinv = dists._bdtrik, dists._betainccinv
+    # slope-sized step, one 10^6 too large certifies no end at it.  A z
+    # 10 higher starts binom_sup_k's read 10 sigma above the answer, so it
+    # restarts lower in several steps; 10 lower starts it a longer read.
+    betainccinv = dists._betainccinv
     slope = dists._inf_p_slope
-    monkeypatch.setattr(
-        dists,
-        "_bdtrik",
-        lambda y, n, p: bdtrik(y, n, p) + sigmas * math.sqrt(n * p * (1 - p)),
-    )
+    if not math.isnan(sigmas):
+        monkeypatch.setattr(dists, "_STD_NORMAL", NormalDist(mu=sigmas))
 
     def off_betainccinv(a, b, y):
         g = betainccinv(a, b, y)
@@ -337,6 +344,7 @@ def test_inversions_without_a_usable_guess(monkeypatch, sigmas, slope_scale):
         (1000, 0.01, 0.05, 3),
         (2000, 0.9, 1e-6, 1790),
         (20_000, 0.05, 0.5, 999),
+        (1, 4.127e-4, 2.735e-10, 0),
     ]:
         assert binom_sup_k(n, eps, delta) == binom_sup_k_bisect(n, eps, delta)
         got = binom_inf_p(k, n, delta)
@@ -352,8 +360,8 @@ def test_inversions_without_a_usable_guess(monkeypatch, sigmas, slope_scale):
 def test_binom_table_matches_binom_cdf(n, log_eps, data):
     eps = math.exp(log_eps)
     kmax = data.draw(st.integers(0, n + 2))
-    table = dists._binom_table(n, eps, kmax)
-    want = np.array([binom_cdf(k, n, eps) for k in range(kmax + 1)])
+    table = dists._binom_table(n, eps, 0, kmax)[: kmax + 1]
+    want = np.array([binom_cdf(k, n, eps) for k in range(min(kmax, n) + 1)])
     assert table.shape == want.shape
     # each is within its stated bound of the exact value, and the table's
     # chain holds every binom_cdf chain up to kmax, so ltt's settle band,
@@ -395,11 +403,16 @@ def test_binom_inf_p_brackets_at_the_slope_step(cdf_calls, n):
     assert binom_cdf(k, n, p) <= 0.1 < binom_cdf(k, n, np.nextafter(p, 0.0))
 
 
-def test_binom_sup_k_certifies_the_adjacent_counts(cdf_calls):
-    # the counts either side of the bdtrik guess certify at once; the ends
-    # one count further out took 4 calls
+def test_binom_sup_k_reads_one_chain(monkeypatch, cdf_calls):
+    # the read starts below the answer and no value sits near delta, so
+    # one chain decides every count and binom_cdf settles none
+    chains = []
+    real = dists._binom_chains
+    monkeypatch.setattr(
+        dists, "_binom_chains", lambda *args: chains.append(args) or real(*args)
+    )
     k = binom_sup_k(10**6, 0.1, 0.1)
-    assert 0 < len(cdf_calls) <= 2
+    assert len(chains) == 1 and not cdf_calls
     assert k == binom_sup_k_bisect(10**6, 0.1, 0.1)
 
 
@@ -425,10 +438,13 @@ def test_binom_inf_p_raises_when_halvings_run_out(monkeypatch):
         binom_inf_p(99, 1000, 0.1)
 
 
-def test_binom_sup_k_raises_when_halvings_run_out(monkeypatch):
-    monkeypatch.setattr(dists, "_BISECT_MAX_ITER", 5)
+def test_binom_sup_k_raises_when_restarts_run_out(monkeypatch):
+    # the read starts at count 3, above the answer -1, and restarts at 0
+    n, eps, delta = 128007, 1.5261415293276415e-06, 1.6180163021641802e-12
+    assert binom_sup_k(n, eps, delta) == binom_sup_k_bisect(n, eps, delta) == -1
+    monkeypatch.setattr(dists, "_MAX_RESTARTS", 0)
     with pytest.raises(ArithmeticError):
-        binom_sup_k(10**6, 0.1, 0.1)
+        binom_sup_k(n, eps, delta)
 
 
 def test_beta_params_validation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conformal_kit import risk
+from conformal_kit import dists, risk
 from conformal_kit.calibration import NonconformityScores, p_hat, q_hat
 from conformal_kit.dists import binom_cdf
 from conformal_kit.risk import Losses, crc_lambda, ltt_lambda, ucb_lambda
@@ -308,22 +308,22 @@ def test_ltt_fwer_simulation():
     assert rate <= delta + 3.0 * math.sqrt(delta * (1 - delta) / trials)
 
 
-def _counted(monkeypatch, name):
+def _counted(monkeypatch, module, name):
     calls = []
-    real = getattr(risk, name)
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(risk, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_ltt_reads_one_table(monkeypatch):
     # one binom_cdf per distinct count would be 10^5 calls here; the table
     # leaves only values within the margin of delta to binom_cdf
-    calls = _counted(monkeypatch, "binom_cdf")
+    calls = _counted(monkeypatch, dists, "binom_cdf")
     scores = np.random.default_rng(1501).standard_normal(10**5)
     lam = ltt_lambda(Losses.zero_one(scores), 0.1, 0.1)
     assert math.isfinite(lam) and len(calls) <= 3
@@ -331,7 +331,7 @@ def test_ltt_reads_one_table(monkeypatch):
 
 def test_ucb_searches_from_a_certified_bracket(monkeypatch):
     # a plain halving over the 7002 candidates makes about 13 calls
-    calls = _counted(monkeypatch, "binom_inf_p")
+    calls = _counted(monkeypatch, risk, "binom_inf_p")
     scores = np.random.default_rng(1502).standard_normal(7000)
     losses = Losses.zero_one(scores)
     lam = ucb_lambda(losses, 0.1, 0.1)

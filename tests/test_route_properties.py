@@ -147,7 +147,7 @@ def test_ltt_is_the_walk_at_table_values(data):
     vals = data.draw(scores)
     n = len(vals)
     eps = data.draw(levels(n))
-    p = float(dists._binom_table(n, eps, n)[data.draw(st.integers(0, n))])
+    p = float(dists._binom_table(n, eps, 0, n)[data.draw(st.integers(0, n))])
     delta = data.draw(
         st.sampled_from(
             [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0), 5e-324]
@@ -165,7 +165,7 @@ def test_ltt_is_the_walk_where_an_ulp_decides(n, eps):
     # a few table values here sit an ulp off binom_cdf's, and
     # Bin(k; 1100, 1/2) is subnormal for k = 3..9, where an ulp is 2^-1074
     losses = Losses.zero_one(np.arange(float(n)))
-    table = dists._binom_table(n, eps, n)
+    table = dists._binom_table(n, eps, 0, n)
     deltas = {5e-324}
     for k in range(n):
         p = binom_cdf(k, n, eps)

@@ -1,12 +1,12 @@
 """The self-check suites pass, and actually catch injected breakage."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from conformal_kit import verify
-from conformal_kit.calibration import p_hat, q_hat
 from conformal_kit.verify import (
     SUITE_NAMES,
     equivalence_suite,
@@ -29,24 +29,29 @@ def test_run_suites_unknown_name():
         run_suites(["telepathy"])
 
 
-def test_equivalence_catches_shifted_quantile():
-    def off_by_one(scores, alpha):
-        lam = q_hat(scores, alpha).lambda_hat
-        if math.isinf(lam):
-            return lam
-        above = scores.values[scores.values > lam]
-        return float(above[0]) if above.size else math.inf
+def test_equivalence_catches_shifted_quantile(monkeypatch):
+    real = verify.q_hat
 
-    result = equivalence_suite(trials=60, seed=0, q_fn=off_by_one)
+    def off_by_one(scores, alpha):
+        result = real(scores, alpha)
+        if math.isinf(result.lambda_hat):
+            return result
+        above = scores.values[scores.values > result.lambda_hat]
+        lam = float(above[0]) if above.size else math.inf
+        return dataclasses.replace(result, lambda_hat=lam)
+
+    monkeypatch.setattr(verify, "q_hat", off_by_one)
+    result = equivalence_suite(trials=60, seed=0)
     assert not result.passed
     assert result.detail["crc_mismatches"] > 0
 
 
-def test_equivalence_catches_inflated_tolerance():
-    def doubled(scores, eps, delta):
-        return p_hat(scores, min(0.99, 2 * eps), delta).lambda_hat
-
-    result = equivalence_suite(trials=60, seed=0, p_fn=doubled)
+def test_equivalence_catches_inflated_tolerance(monkeypatch):
+    real = verify.p_hat
+    monkeypatch.setattr(
+        verify, "p_hat", lambda s, eps, delta: real(s, min(0.99, 2 * eps), delta)
+    )
+    result = equivalence_suite(trials=60, seed=0)
     assert not result.passed
     assert result.detail["ucb_mismatches"] > 0
 
