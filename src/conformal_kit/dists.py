@@ -10,6 +10,10 @@ terms over the sum of all of them, so no cancellation and no external
 special function enters the result.  One binomial chain, ``_binom_chains``,
 serves ``binom_cdf`` and the table read ``_binom_table`` under one stated
 error bound, ``_chain_err``; its counts stay below 2^64, else ValueError.
+Only four array operations of a chain depend on p; its counts depend on
+the chain's ends alone (``_chain_counts``), so one inversion in p builds
+them once for all its probes near the root, and a single read builds
+them in the arrays it then overwrites.
 The regularized incomplete beta function comes from scipy, which evaluates
 the standard continued fraction.  scipy.special is imported at the first
 call that needs it (a guess for ``binom_inf_p`` or ucb, or ``beta_reg``),
@@ -18,17 +22,18 @@ counts never loads it.
 
 The decisions Bin(k; n, eps) <= delta over many counts, in ``binom_sup_k``
 (the inversion in k) and ltt's tests, read one chain as a table of every
-count and let ``binom_cdf`` settle the values near delta
-(``_binom_exceeds``).  The inversion in p, ``binom_inf_p``, bisects the
-exact CDF (``_boundary``) from a bracket beside scipy's ``betainccinv``
-guess: an end counts once the CDF there clears the level by 1000 times
-``_cdf_err``, ``binom_cdf``'s stated worst-case relative error (about
-1.1e-14 at n = 10^6), and the ends tried first sit where the CDF's normal
-approximation puts two such slacks of change, nearer the larger n is.
-Every probe beyond a certified end takes its outcome without the CDF, so
-the probe sequence and the result are the plain bisection's, bit for bit;
-an end that fails to certify, or a guess that is not finite, leaves that
-side to the plain bisection.
+count and let ``binom_cdf`` settle the values near delta, up to the
+first count that decides (``_first_exceeding``).  The inversion in p,
+``binom_inf_p``, bisects the exact CDF (``_boundary``) from a bracket
+beside scipy's ``betainccinv`` guess: an end counts once the CDF there
+clears the level by 1000 times ``_cdf_err``, ``binom_cdf``'s stated
+worst-case relative error (about 1.1e-14 at n = 10^6), and the ends
+tried first sit where the CDF's normal approximation puts two such
+slacks of change, nearer the larger n is.  Every probe beyond a
+certified end takes its outcome without the CDF, so the probe sequence
+and the result are the plain bisection's, bit for bit; an end that fails
+to certify, or a guess that is not finite, leaves that side to the plain
+bisection.
 
 Integer inversions follow the lower quantile convention throughout: the
 largest k whose CDF does not exceed the level, -1 when there is none.
@@ -178,22 +183,68 @@ def _chain_ends(n: int, p: float, lo: int, hi: int):
     return anchor, max(0, min(lo, anchor) - window), hi_end
 
 
-def _binom_chains(n: int, p: float, lo: int, hi: int):
+def _chain_counts(n: int, anchor: int, lo_end: int, hi_end: int):
+    """The counts of the chain's ratios, one side at a time, in long double:
+    (i, n - i + 1) for i = anchor down to lo_end + 1, then (n - i, i + 1)
+    for i = anchor up to hi_end - 1.  Exact below ``_EXACT_COUNTS``, and
+    rounded as each expression rounds past it.  A generator, so a caller
+    that reuses the storage holds one side's counts at a time."""
+    one = np.longdouble(1)
+    i = np.arange(anchor, lo_end, -1, dtype=np.longdouble)
+    b = np.subtract(n, i)
+    yield i, np.add(b, one, out=b)
+    del b
+    i = np.arange(anchor, hi_end, dtype=np.longdouble)
+    b = i + one
+    yield np.subtract(n, i, out=i), b
+
+
+def _binom_chains(n: int, p: float, lo: int, hi: int, memo=None):
     """(anchor, down, up) of the pmf chain ``_chain_ends`` gives for lo..hi:
     down[j] = pmf(anchor-1-j)/pmf(anchor) runs down to the low end, and
-    up[j] = pmf(anchor+1+j)/pmf(anchor) up to the top end."""
-    anchor, lo_end, hi_end = _chain_ends(n, p, lo, hi)
-    one = np.longdouble(1)
+    up[j] = pmf(anchor+1+j)/pmf(anchor) up to the top end.
+
+    Each side is cumprod(a x / (b y)) over its counts (a, b) from
+    ``_chain_counts``, with (x, y) = (1 - p, p) down and (p, 1 - p) up.
+    Without ``memo`` the counts are built here and overwritten in place; a
+    dict ``memo`` holds the counts of the last chain ends it saw, so the
+    probes of one inversion that share those ends only redo the four
+    operations that depend on p, bit for bit as a fresh build."""
+    ends = _chain_ends(n, p, lo, hi)
+    if memo is None:
+        counts = _chain_counts(n, *ends)
+    else:
+        if ends not in memo:
+            memo.clear()
+            memo[ends] = tuple(_chain_counts(n, *ends))
+        counts = iter(memo[ends])
+
+    def side(a, b, x, y):
+        ratio = np.multiply(a, x, out=a if memo is None else None)
+        np.divide(ratio, np.multiply(b, y, out=b if memo is None else None), out=ratio)
+        return np.cumprod(ratio, out=ratio)
+
     pl = np.longdouble(p)
-    ql = one - pl
-    down = up = np.empty(0, dtype=np.longdouble)
-    if anchor > lo_end:
-        i = np.arange(anchor, lo_end, -1, dtype=np.longdouble)
-        down = np.cumprod(i * ql / ((n - i + one) * pl))
-    if hi_end > anchor:
-        i = np.arange(anchor, hi_end, dtype=np.longdouble)
-        up = np.cumprod((n - i) * pl / ((i + one) * ql))
-    return anchor, down, up
+    ql = np.longdouble(1) - pl
+    down = side(*next(counts), ql, pl)
+    return ends[0], down, side(*next(counts), pl, ql)
+
+
+def _cdf(k: int, n: int, p: float, memo=None) -> float:
+    """``binom_cdf`` of checked arguments and an integer k; ``memo`` as in
+    ``_binom_chains``."""
+    if k < 0:
+        return 0.0
+    if k >= n or p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    anchor, down, up = _binom_chains(n, p, k, k, memo)
+    below = np.longdouble(1) + down.sum()
+    total = below + up.sum()
+    if k < anchor:
+        return float(down[anchor - 1 - k :].sum() / total)
+    return float((below + up[: k - anchor].sum()) / total)
 
 
 def binom_cdf(k, n, p: float) -> float:
@@ -229,19 +280,7 @@ def binom_cdf(k, n, p: float) -> float:
     """
     n = _check_trials("n", n)
     p = _check_prob("p", p)
-    k = math.floor(k)
-    if k < 0:
-        return 0.0
-    if k >= n or p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    anchor, down, up = _binom_chains(n, p, k, k)
-    below = np.longdouble(1) + down.sum()
-    total = below + up.sum()
-    if k < anchor:
-        return float(down[anchor - 1 - k :].sum() / total)
-    return float((below + up[: k - anchor].sum()) / total)
+    return _cdf(math.floor(k), n, p)
 
 
 def _chain_err(n: int, p: float, lo: int, hi: int) -> float:
@@ -293,33 +332,52 @@ def _binom_table(n: int, p: float, lo: int, hi: int) -> np.ndarray:
     The chain ``_binom_chains`` gives for lo..hi, read by cumulative sums
     over its total, so a value can differ from ``binom_cdf``'s by an ulp;
     each is within ``_chain_err(n, p, lo, hi)``.  The top count is at
-    least min(hi, n) and reads 1.0.
+    least min(hi, n) and reads 1.0.  The sums run in place, up from the
+    low end through ``down`` reversed, the anchor's 1 and ``up``, so the
+    chain is held once; only the float64 values from lo on are new.
     """
     anchor, down, up = _binom_chains(n, p, lo, hi)
-    start = lo - (anchor - down.size)
-    cum = np.concatenate((down[::-1], np.ones(1, np.longdouble), up))
-    del down, up
-    np.cumsum(cum, out=cum)
-    return np.divide(cum[start:], cum[-1], out=np.empty(cum.size - start))
+    rev = down[::-1]
+    np.cumsum(rev, out=rev)
+    below = (rev[-1] if rev.size else 0) + np.longdouble(1)
+    if up.size:
+        up[0] += below
+        np.cumsum(up, out=up)
+    total = up[-1] if up.size else below
+    at = anchor - lo  # the anchor's place among the values from lo on
+    out = np.empty(at + 1 + up.size)
+    np.divide(rev[rev.size - at :], total, out=out[: max(at, 0)])
+    if at >= 0:
+        out[at] = below / total
+    np.divide(up[max(-at - 1, 0) :], total, out=out[max(at + 1, 0) :])
+    return out
 
 
-def _binom_exceeds(n: int, p: float, lo: int, hi: int, delta: float) -> np.ndarray:
-    """Whether Bin(k; n, p) > delta, for k from lo in ``_binom_table`` up to
-    its top, or up to the first count from hi on that exceeds delta (so a
-    delta near 1 does not settle the whole upper tail).
+def _first_exceeding(n: int, p: float, lo: int, hi: int, delta: float, used=None):
+    """Smallest count k from lo with Bin(k; n, p) > delta, among the counts
+    ``used`` when given, and one past the top of ``_binom_table`` when
+    there is none.
 
-    ``binom_cdf`` settles, in ascending order, the values within
-    max(``_SLACK`` times the table's bound times delta, 2^-1074) of delta;
-    its chain at k lies inside the table's for k <= hi and at most one
-    window past it above, so the two agree on every other value.
+    The table's values decide, except those within max(``_SLACK`` times
+    the table's bound times delta, 2^-1074) of delta, which ``binom_cdf``
+    settles in ascending order up to the first count that exceeds; its
+    chain at k lies inside the table's for k <= hi and at most one window
+    past it above, so the two agree on every other value.
     """
     table = _binom_table(n, p, lo, hi)
     band = max(_SLACK * _chain_err(n, p, lo, hi) * delta, 2.0**-1074)
-    for i in np.flatnonzero(np.abs(table - delta) <= band).tolist():
-        table[i] = binom_cdf(lo + i, n, p)
-        if lo + i >= hi and table[i] > delta:
-            return table[: i + 1] > delta
-    return table > delta
+    near = np.abs(table - delta) <= band
+    clear = (table > delta) & ~near
+    if used is not None:
+        kept = np.zeros(table.size, dtype=bool)
+        kept[np.asarray(used, dtype=np.int64) - lo] = True
+        near &= kept
+        clear &= kept
+    stop = int(np.argmax(clear)) if clear.any() else table.size
+    for i in np.flatnonzero(near[:stop]).tolist():
+        if binom_cdf(lo + i, n, p) > delta:
+            return lo + i
+    return lo + stop
 
 
 def _boundary(lo, hi, half, ok, ends):
@@ -364,7 +422,7 @@ def binom_sup_k(n, eps: float, delta: float) -> int:
     calibration, since collapsing it to k = 0 would silently weaken the
     guarantee.  The CDF is non-decreasing in k, so the answer is the count
     before the first that exceeds delta in one read from below it
-    (``_binom_exceeds``).  The read starts two counts below the
+    (``_first_exceeding``).  The read starts two counts below the
     skew-corrected normal quantile n eps + z sigma + (z^2 - 1)(1 - 2 eps)/6
     and, while its first count exceeds delta, restarts lower by steps that
     double from ``_WINDOW_PAD``, at most ``_MAX_RESTARTS`` times; then
@@ -385,9 +443,9 @@ def binom_sup_k(n, eps: float, delta: float) -> int:
     skew = (z * z - 1.0) * (1.0 - 2.0 * eps) / 6.0
     lo = min(n, max(0, math.floor(n * eps + z * sigma + skew) - 2))
     for restart in range(_MAX_RESTARTS + 1):
-        over = _binom_exceeds(n, eps, lo, lo, delta)
-        if lo == 0 or not over[0]:
-            return lo + int(np.argmax(over)) - 1
+        first = _first_exceeding(n, eps, lo, lo, delta)
+        if lo == 0 or first > lo:
+            return first - 1
         lo = max(0, lo - (_WINDOW_PAD << restart))
     raise ArithmeticError(f"no read began below the answer in {_MAX_RESTARTS} restarts")
 
@@ -417,7 +475,11 @@ def binom_inf_p(k, n, delta: float) -> float:
     step over which ``_inf_p_slope`` puts two certification slacks of CDF
     change, when that step is below 1e-9, then at 1e-9, 1e-6 and 1e-3.
     A wrong slope only costs calls, since every end is certified by the
-    exact CDF.
+    exact CDF.  The probes read the CDF through one memo of chain counts
+    that lives for this call only: the ones near the root share the
+    chain's ends, so the counts are built once per inversion, not once
+    per probe, at the cost of holding them (about 1.8 times the peak
+    memory of a single CDF read).
     Raises ArithmeticError if ``_BISECT_MAX_ITER`` halvings do not reach
     adjacent doubles.
 
@@ -436,6 +498,7 @@ def binom_inf_p(k, n, delta: float) -> float:
     if k >= n:
         return 1.0
     g = float(_betainccinv(k + 1, n - k, delta))
+    memo = {}
     ends = []
     if 0.0 < g < 1.0:
         steps = _GUESS_STEPS
@@ -448,7 +511,7 @@ def binom_inf_p(k, n, delta: float) -> float:
         0.0,
         1.0,
         lambda lo, hi: 0.5 * (lo + hi),
-        lambda p, side: binom_cdf(k, n, p)
+        lambda p, side: _cdf(k, n, p, memo)
         <= delta * (1.0 - side * _SLACK * _cdf_err(k, n, p)),
         ends,
     )

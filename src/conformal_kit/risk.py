@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._rational import as_fraction, on_grid
-from .dists import _bdtrik, _binom_exceeds, _boundary, _check_prob, _check_trials
+from .dists import _bdtrik, _boundary, _check_prob, _check_trials, _first_exceeding
 from .dists import binom_inf_p
 
 __all__ = ["Losses", "crc_lambda", "ucb_lambda", "ltt_lambda"]
@@ -278,9 +278,11 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     each test, no correction for the grid size, and stops at the first
     p-value above delta.  Returns the smallest threshold it rejects, one
     past the last grid point whose p-value exceeds delta, or +inf when
-    that is the top one.  Every test is decided by one read of
-    Bin(.; n, eps) over the counts, ``dists._binom_exceeds``, the read
-    ``binom_sup_k`` decides through, so the route is O(n) plus the grid.
+    that is the top one.  The counts fall as lambda rises, so the walk
+    stops at the smallest count on the grid whose p-value exceeds delta;
+    one read of Bin(.; n, eps) over the counts finds it,
+    ``dists._first_exceeding``, the read ``binom_sup_k`` decides through,
+    so the route is O(n) plus the grid.
 
     Parameters
     ----------
@@ -306,7 +308,7 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     n = losses.n
     totals = losses.totals[np.searchsorted(losses.lambdas, lam, side="right")]
     counts = np.minimum(_zero_one_counts(totals, n), n)
-    over = _binom_exceeds(n, eps, 0, int(counts.max(initial=0)), delta)
-    above = np.flatnonzero(over[counts])
-    first = int(above[-1]) + 1 if above.size else 0
+    stop = _first_exceeding(n, eps, 0, int(counts.max(initial=0)), delta, counts)
+    # the walk keeps the points after the last whose count reaches the stop
+    first = np.count_nonzero(counts >= stop)
     return float(lam[first]) if first < lam.size else math.inf

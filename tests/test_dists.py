@@ -7,6 +7,7 @@ multi-precision summation, or scipy's betainc-based reference.
 
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -80,6 +81,9 @@ BINOM_CDF_BITS = {
     (0, 1000000, 1e-06): 0.3678792572316451,  # below
     (3, 1000000, 1e-06): 0.9810119044370966,  # above
     (999998, 1000000, 0.999999): 0.26424111766766334,  # below
+    # past 2^64 the counts n - i and n - i + 1 round, as n does
+    (200, 2**70 + 3, 2e-19): 0.008915522148277193,  # below
+    (26, 2**60 + 12345, 3e-17): 0.07999755929960711,  # below
 }
 
 
@@ -373,55 +377,84 @@ def test_binom_table_matches_binom_cdf(n, log_eps, data):
     assert np.all(err <= 2 * bound * want[normal]), (n, eps, kmax)
 
 
-@pytest.fixture
-def cdf_calls(monkeypatch):
+def _counted(monkeypatch, name):
     calls = []
-    real = dists.binom_cdf
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(dists, "binom_cdf", counted)
+    real = getattr(dists, name)
+    monkeypatch.setattr(dists, name, lambda *args: calls.append(args) or real(*args))
     return calls
 
 
-def test_tables_probe_binom_cdf_only_near_the_roots(cdf_calls, capsys):
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Evaluations of the pmf chain, one per CDF value an inversion reads."""
+    return _counted(monkeypatch, "_binom_chains")
+
+
+def test_tables_probe_binom_cdf_only_near_the_roots(chain_calls, capsys):
     assert cli.main(["tables", "--n", "1000003", "--levels", "0.1"]) == 0
     capsys.readouterr()
-    # a plain bisection over [0, n] and [0, 1] makes 77 calls here, one
+    # a plain bisection over [0, n] and [0, 1] makes 77 CDF calls here, one
     # bracketed at a fixed 1e-9 step around the inf-p guess 31, and one
     # certified at a flat relative margin of 1e-9 23
-    assert 0 < len(cdf_calls) <= 15
+    assert 0 < len(chain_calls) <= 15
 
 
 @pytest.mark.parametrize("n", [10**5, 10**6])
-def test_binom_inf_p_brackets_at_the_slope_step(cdf_calls, n):
+def test_binom_inf_p_brackets_at_the_slope_step(chain_calls, n):
     k = math.floor(0.1 * (n + 1) - 1)
     p = binom_inf_p(k, n, 0.1)
-    assert len(cdf_calls) <= 14  # 27 with the bracket at the fixed 1e-9 step
+    assert 0 < len(chain_calls) <= 14  # 27 with the bracket at the fixed 1e-9 step
     assert binom_cdf(k, n, p) <= 0.1 < binom_cdf(k, n, np.nextafter(p, 0.0))
 
 
-def test_binom_sup_k_reads_one_chain(monkeypatch, cdf_calls):
+def test_binom_inf_p_builds_its_counts_once(monkeypatch, chain_calls):
+    # the probes near the root share the chain's ends, so they share its
+    # counts; a certified end whose ends differ may build them once more
+    builds = _counted(monkeypatch, "_chain_counts")
+    n = 10**6
+    binom_inf_p(math.floor(0.1 * (n + 1) - 1), n, 0.1)
+    assert 1 <= len(builds) <= 2 < len(chain_calls)
+
+
+def test_binom_sup_k_reads_one_chain(monkeypatch, chain_calls):
     # the read starts below the answer and no value sits near delta, so
     # one chain decides every count and binom_cdf settles none
-    chains = []
-    real = dists._binom_chains
-    monkeypatch.setattr(
-        dists, "_binom_chains", lambda *args: chains.append(args) or real(*args)
-    )
+    cdf_calls = _counted(monkeypatch, "binom_cdf")
     k = binom_sup_k(10**6, 0.1, 0.1)
-    assert len(chains) == 1 and not cdf_calls
+    assert len(chain_calls) == 1 and not cdf_calls
     assert k == binom_sup_k_bisect(10**6, 0.1, 0.1)
 
 
-def test_binom_inf_p_brackets_a_tiny_level(cdf_calls):
+def test_binom_sup_k_holds_its_chain_once(chain_calls):
+    # the table's cumulative sums run in place in the chain's own arrays,
+    # so the read never holds a second copy of it; summing a concatenated
+    # copy peaks at twice the chain
+    n, eps = 10**9, 0.1
+    tracemalloc.start()
+    try:
+        binom_sup_k(n, eps, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (args,) = chain_calls
+    _, lo_end, hi_end = dists._chain_ends(*args)
+    chain_bytes = np.dtype(np.longdouble).itemsize * (hi_end - lo_end + 1)
+    assert peak < 1.6 * chain_bytes
+
+
+def test_binom_inf_p_brackets_a_tiny_level(chain_calls):
     # 1 - 1e-300 rounds to 1, so only the complemented inverse gives a guess
     k, n, delta = 3, 10**7, 1e-300
     p = binom_inf_p(k, n, delta)
-    assert len(cdf_calls) <= 30  # 66 calls without a guess
+    assert 0 < len(chain_calls) <= 30  # 66 calls without a guess
     assert binom_cdf(k, n, p) <= delta < binom_cdf(k, n, np.nextafter(p, 0.0))
+
+
+def test_binom_inf_p_past_2_to_the_64():
+    # the chain's counts round past 2^64, and the counts a probe reuses
+    # must round as a fresh build's do; the plain bisection cannot run
+    # here, since its first probe p = 1/2 needs counts past 2^64
+    assert binom_inf_p(200, 2**70 + 3, 0.1) == 1.8581343080148762e-19
 
 
 @pytest.mark.parametrize("digits", [15, 50, 100, 300])

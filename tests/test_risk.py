@@ -10,6 +10,8 @@ from conformal_kit.calibration import NonconformityScores, p_hat, q_hat
 from conformal_kit.dists import binom_cdf
 from conformal_kit.risk import Losses, crc_lambda, ltt_lambda, ucb_lambda
 
+from helpers import ltt_walk
+
 
 def test_zero_one_curve_shape():
     c = Losses.zero_one([2.0])
@@ -327,6 +329,18 @@ def test_ltt_reads_one_table(monkeypatch):
     scores = np.random.default_rng(1501).standard_normal(10**5)
     lam = ltt_lambda(Losses.zero_one(scores), 0.1, 0.1)
     assert math.isfinite(lam) and len(calls) <= 3
+
+
+def test_ltt_settles_only_up_to_the_walks_stop(monkeypatch):
+    # with delta within the settle band of 1, every count of the upper
+    # tail sits in the band; the walk stops at the first count it reads
+    # that exceeds delta, and so does settling (847 calls when it went on
+    # up to the largest count)
+    calls = _counted(monkeypatch, dists, "binom_cdf")
+    losses = Losses.zero_one(np.random.default_rng(2301).standard_normal(2000))
+    lam = ltt_lambda(losses, 0.5, 1 - 1e-13)
+    assert len(calls) <= 100
+    assert lam == ltt_walk(losses, 0.5, 1 - 1e-13)
 
 
 def test_ucb_searches_from_a_certified_bracket(monkeypatch):
