@@ -7,17 +7,18 @@ CDFs are therefore evaluated from first principles: pmf terms are generated
 by the ratio recurrence between neighbours, anchored at the mode, and
 accumulated in extended precision.  Every value, at every k, is a sum of
 terms over the sum of all of them, so no cancellation and no external
-special function enters the result.  One binomial chain, ``_binom_chains``,
-serves ``binom_cdf`` and the table read ``_binom_table`` under one stated
-error bound, ``_chain_err``; its counts stay below 2^64, else ValueError.
-Only four array operations of a chain depend on p; its counts depend on
-the chain's ends alone (``_chain_counts``), so one inversion in p builds
-them once for all its probes near the root, and a single read builds
-them in the arrays it then overwrites.
+special function enters the result.  One builder, ``_pmf_chain``, makes
+the chain of either law, and one read, ``_cdf_table``, its CDF values.
+The binomial chain serves ``binom_cdf`` and ``_binom_table`` under one
+stated error bound, ``_chain_err``; its counts stay below 2^64, else
+ValueError.  Only four array operations of a chain depend on p; its
+counts depend on the chain's ends alone (``_chain_counts``), so one
+inversion in p builds them once for all its probes near the root, and a
+single read builds them in the arrays it then overwrites.
 The regularized incomplete beta function comes from scipy, which evaluates
 the standard continued fraction.  scipy.special is imported at the first
-call that needs it (a guess for ``binom_inf_p`` or ucb, or ``beta_reg``),
-not with the module, so code that only reads order statistics or binomial
+call that needs it (the guess of ``binom_inf_p``, or ``beta_reg``), not
+with the module, so code that only reads order statistics or binomial
 counts never loads it.
 
 The decisions Bin(k; n, eps) <= delta over many counts, in ``binom_sup_k``
@@ -56,7 +57,6 @@ __all__ = [
     "binom_inf_p",
     "beta_reg",
     "betabin_pmf",
-    "betabin_quantile",
 ]
 
 # Terms farther than 12 sigma from the requested index add less than
@@ -84,12 +84,6 @@ _GUESS_STEPS = (1e-9, 1e-6, 1e-3)
 # binom_sup_k's restarts, each step twice the last: count 0 from any below 2^64
 _MAX_RESTARTS = 64
 _STD_NORMAL = NormalDist()
-
-
-def _bdtrik(y, n, p):
-    from scipy.special import bdtrik  # loaded at ucb's first guess
-
-    return bdtrik(y, n, p)
 
 
 def _betainccinv(a, b, y):
@@ -199,35 +193,42 @@ def _chain_counts(n: int, anchor: int, lo_end: int, hi_end: int):
     yield np.subtract(n, i, out=i), b
 
 
-def _binom_chains(n: int, p: float, lo: int, hi: int, memo=None):
-    """(anchor, down, up) of the pmf chain ``_chain_ends`` gives for lo..hi:
-    down[j] = pmf(anchor-1-j)/pmf(anchor) runs down to the low end, and
-    up[j] = pmf(anchor+1+j)/pmf(anchor) up to the top end.
+def _pmf_chain(n: int, ends, down_xy, up_xy, memo=None):
+    """(anchor, down, up) of a pmf chain over lo_end..hi_end, for
+    ends = (anchor, lo_end, hi_end): down[j] = pmf(anchor-1-j)/pmf(anchor)
+    runs down to the low end, and up[j] = pmf(anchor+1+j)/pmf(anchor) up to
+    the top end.
 
     Each side is cumprod(a x / (b y)) over its counts (a, b) from
-    ``_chain_counts``, with (x, y) = (1 - p, p) down and (p, 1 - p) up.
-    Without ``memo`` the counts are built here and overwritten in place; a
-    dict ``memo`` holds the counts of the last chain ends it saw, so the
-    probes of one inversion that share those ends only redo the four
-    operations that depend on p, bit for bit as a fresh build."""
-    ends = _chain_ends(n, p, lo, hi)
-    if memo is None:
-        counts = _chain_counts(n, *ends)
-    else:
-        if ends not in memo:
-            memo.clear()
-            memo[ends] = tuple(_chain_counts(n, *ends))
-        counts = iter(memo[ends])
+    ``_chain_counts``, where the law's ``down_xy`` and ``up_xy`` map that
+    side's counts to its factors (x, y).  Without ``memo`` the counts are built
+    here and overwritten in place; a dict ``memo`` holds the counts of the
+    last chain ends it saw, so the probes of one inversion that share those
+    ends only redo the operations that depend on the law, bit for bit as a
+    fresh build."""
+    if memo is not None and ends not in memo:
+        memo.clear()
+        memo[ends] = tuple(_chain_counts(n, *ends))
+    counts = _chain_counts(n, *ends) if memo is None else iter(memo[ends])
 
-    def side(a, b, x, y):
+    def side(a, b, factors):
+        x, y = factors(a, b)
         ratio = np.multiply(a, x, out=a if memo is None else None)
         np.divide(ratio, np.multiply(b, y, out=b if memo is None else None), out=ratio)
         return np.cumprod(ratio, out=ratio)
 
+    down = side(*next(counts), down_xy)
+    return ends[0], down, side(*next(counts), up_xy)
+
+
+def _binom_chains(n: int, p: float, lo: int, hi: int, memo=None):
+    """``_pmf_chain`` of Bin(n, p) over ``_chain_ends`` for lo..hi, with
+    (x, y) = (1 - p, p) down and (p, 1 - p) up; ``memo`` as there."""
     pl = np.longdouble(p)
     ql = np.longdouble(1) - pl
-    down = side(*next(counts), ql, pl)
-    return ends[0], down, side(*next(counts), pl, ql)
+    return _pmf_chain(
+        n, _chain_ends(n, p, lo, hi), lambda a, b: (ql, pl), lambda a, b: (pl, ql), memo
+    )
 
 
 def _cdf(k: int, n: int, p: float, memo=None) -> float:
@@ -326,17 +327,12 @@ def _cdf_err(k, n: int, p: float) -> float:
     return _chain_err(n, p, k, k)
 
 
-def _binom_table(n: int, p: float, lo: int, hi: int) -> np.ndarray:
-    """Bin(k; n, p) for k = lo up to the top of its chain, and 0 < p < 1.
-
-    The chain ``_binom_chains`` gives for lo..hi, read by cumulative sums
-    over its total, so a value can differ from ``binom_cdf``'s by an ulp;
-    each is within ``_chain_err(n, p, lo, hi)``.  The top count is at
-    least min(hi, n) and reads 1.0.  The sums run in place, up from the
-    low end through ``down`` reversed, the anchor's 1 and ``up``, so the
-    chain is held once; only the float64 values from lo on are new.
-    """
-    anchor, down, up = _binom_chains(n, p, lo, hi)
+def _cdf_table(anchor: int, down, up, lo: int) -> np.ndarray:
+    """CDF values for k = lo (at least the low end) up to the top of a
+    ``_pmf_chain`` (anchor, down, up): cumulative sums over the total, so
+    the top reads 1.0.  The sums run in place, up from the low end through
+    ``down`` reversed, the anchor's 1 and ``up``; only the float64 values
+    from lo on are new."""
     rev = down[::-1]
     np.cumsum(rev, out=rev)
     below = (rev[-1] if rev.size else 0) + np.longdouble(1)
@@ -351,6 +347,16 @@ def _binom_table(n: int, p: float, lo: int, hi: int) -> np.ndarray:
         out[at] = below / total
     np.divide(up[max(-at - 1, 0) :], total, out=out[max(at + 1, 0) :])
     return out
+
+
+def _binom_table(n: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """Bin(k; n, p) for k = lo up to the top of its chain, and 0 < p < 1.
+
+    The ``_cdf_table`` of the chain ``_binom_chains`` gives for lo..hi, so
+    a value can differ from ``binom_cdf``'s by an ulp; each is within
+    ``_chain_err(n, p, lo, hi)``.  The top count is at least min(hi, n).
+    """
+    return _cdf_table(*_binom_chains(n, p, lo, hi), lo)
 
 
 def _first_exceeding(n: int, p: float, lo: int, hi: int, delta: float, used=None):
@@ -512,7 +518,7 @@ def binom_inf_p(k, n, delta: float) -> float:
         1.0,
         lambda lo, hi: 0.5 * (lo + hi),
         lambda p, side: _cdf(k, n, p, memo)
-        <= delta * (1.0 - side * _SLACK * _cdf_err(k, n, p)),
+        <= (delta * (1.0 - side * _SLACK * _cdf_err(k, n, p)) if side else delta),
         ends,
     )
     return hi
@@ -534,8 +540,22 @@ def beta_reg(x: float, params: BetaParams) -> float:
     return float(betainc(params.a, params.b, x))
 
 
-def _betabin_terms(params: BetaBinParams) -> np.ndarray:
-    """Unnormalized pmf terms over {0..trials}, 1 at the mode, longdouble."""
+def _betabin_chain(params: BetaBinParams):
+    """(anchor, down, up) of the beta-binomial pmf chain over {0..trials},
+    anchored where a walk up the pmf from the mean stops: the mode, or for
+    a, b < 1 (a U shape) the end of the support the walk reaches.
+
+    Its factors over each side's counts (d, c) are (x, y) = (c - 1 + b,
+    d - 1 + a) down and (c - 1 + a, d - 1 + b) up, so the ratios are
+    pmf(i - 1)/pmf(i) = i (n - i + b) / ((n - i + 1)(i - 1 + a)) and
+    pmf(i + 1)/pmf(i) = (n - i)(i + a) / ((i + 1)(n - i - 1 + b)).  Each
+    shape is added once to an exact count, so a shape far below 1 keeps
+    its digits.  Stated worst-case relative error, derived as
+    ``_chain_err``'s: ((2 r + 6) L + 2) u + 2^-53 for pmf and CDF values in
+    the double's normal range, with L = trials + 1 and no window term.
+    Each ratio takes r = 5 roundings (x, y, two products, the quotient),
+    or r = 3 for integer shapes, whose sums are exact.
+    """
     n = params.trials
     a = np.longdouble(params.a)
     b = np.longdouble(params.b)
@@ -545,24 +565,18 @@ def _betabin_terms(params: BetaBinParams) -> np.ndarray:
         # pmf(i+1) / pmf(i)
         return float((n - i) * (a + i) / ((i + 1) * (b + n - i - one)))
 
-    # Start at the mean and walk to the argmax so every term is <= 1.
+    # Start at the mean and walk uphill to a local maximum.
     anchor = min(n, max(0, round(n * params.a / (params.a + params.b))))
     while anchor < n and up_ratio(anchor) >= 1.0:
         anchor += 1
     while anchor > 0 and up_ratio(anchor - 1) < 1.0:
         anchor -= 1
-
-    terms = np.empty(n + 1, dtype=np.longdouble)
-    terms[anchor] = one
-    if anchor > 0:
-        i = np.arange(anchor, 0, -1, dtype=np.longdouble)
-        down = np.cumprod(i * (b + n - i) / ((n - i + one) * (a + i - one)))
-        terms[anchor - 1 :: -1] = down
-    if anchor < n:
-        i = np.arange(anchor, n, dtype=np.longdouble)
-        up = np.cumprod((n - i) * (a + i) / ((i + one) * (b + n - i - one)))
-        terms[anchor + 1 :] = up
-    return terms
+    return _pmf_chain(
+        n,
+        (anchor, 0, n),
+        lambda d, c: (c - one + b, d - one + a),
+        lambda d, c: (c - one + a, d - one + b),
+    )
 
 
 def betabin_pmf(params: BetaBinParams) -> np.ndarray:
@@ -579,22 +593,6 @@ def betabin_pmf(params: BetaBinParams) -> np.ndarray:
     >>> round(float(pmf.sum()), 12)
     1.0
     """
-    terms = _betabin_terms(params)
+    _, down, up = _betabin_chain(params)
+    terms = np.concatenate((down[::-1], [np.longdouble(1)], up))
     return (terms / terms.sum()).astype(np.float64)
-
-
-def betabin_quantile(q: float, params: BetaBinParams) -> int:
-    """Largest k whose beta-binomial CDF is <= q (lower quantile convention).
-
-    Returns -1 in the degenerate case where already the mass at zero
-    exceeds q.
-
-    Examples
-    --------
-    >>> betabin_quantile(0.5, BetaBinParams(100, 3.0, 3.0)) in range(40, 60)
-    True
-    """
-    q = _check_prob("q", q, open_interval=True)
-    cum = np.cumsum(_betabin_terms(params))
-    cdf = cum / cum[-1]
-    return int(np.searchsorted(cdf, np.longdouble(q), side="right")) - 1

@@ -36,13 +36,7 @@ from .calibration import (
     plan,
     tolerance_eps_given_alpha,
 )
-from .dists import (
-    BetaBinParams,
-    BetaParams,
-    betabin_pmf,
-    betabin_quantile,
-    binom_sup_k,
-)
+from .dists import BetaBinParams, BetaParams, _betabin_chain, _cdf_table, binom_sup_k
 from .predictors import _cqr_lengths, _cqr_scores
 
 __all__ = [
@@ -138,7 +132,8 @@ class ExperimentSummary:
     delta_hat is the fraction of trials with coverage at most 1 - eps;
     delta_bar counts against the delta-quantile of the reference
     beta-binomial law instead, which removes the finite-test-set bias
-    when estimating the tolerance failure rate.  ks_distance is the
+    when estimating the tolerance failure rate; its cut and the distances
+    below read one table of the reference CDF.  ks_distance is the
     sup-norm gap between the empirical law of C_j and the reference;
     dominance_gap is the signed one-sided part max(ecdf - reference),
     small whenever the realized coverage stochastically dominates the
@@ -387,12 +382,10 @@ def summarize(
     hat_cut = n_test - math.ceil(on_grid(eps, n_test) * n_test)
     delta_hat = float(np.mean(counts <= hat_cut))
 
-    params = BetaBinParams(n_test, law.a, law.b)
-    bar_cut = betabin_quantile(delta, params)
+    ref_cdf = _cdf_table(*_betabin_chain(BetaBinParams(n_test, law.a, law.b)), 0)
+    bar_cut = np.searchsorted(ref_cdf, delta, "right") - 1
     delta_bar = float(np.mean(counts <= bar_cut))
 
-    ref_cdf = np.cumsum(betabin_pmf(params))
-    ref_cdf[-1] = 1.0
     ecdf = np.cumsum(np.bincount(counts, minlength=n_test + 1)) / R
     ks = float(np.max(np.abs(ecdf - ref_cdf)))
     dominance = float(np.max(ecdf - ref_cdf))

@@ -33,8 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._rational import as_fraction, on_grid
-from .dists import _bdtrik, _boundary, _check_prob, _check_trials, _first_exceeding
-from .dists import binom_inf_p
+from .dists import _boundary, _check_prob, _check_trials, _first_exceeding
+from .dists import binom_inf_p, binom_sup_k
 
 __all__ = ["Losses", "crc_lambda", "ucb_lambda", "ltt_lambda"]
 
@@ -220,8 +220,9 @@ def ucb_lambda(
     non-increasing losses the condition is a suffix property of the
     breakpoint candidates and binary search locates the boundary exactly;
     the exact binomial one starts from the bracket one count either side of
-    scipy's ``bdtrik`` guess, certified by the bound itself.  Returns +inf
-    when no threshold qualifies.
+    the largest count k* with Bin(k*; n, eps) <= delta (``binom_sup_k``),
+    certified by the bound itself.  Returns +inf when no threshold
+    qualifies.
 
     Parameters
     ----------
@@ -249,7 +250,8 @@ def ucb_lambda(
         def ok(total: float) -> bool:
             return binom_inf_p(_zero_one_counts(total, n), n, delta) <= eps
 
-        guess = float(_bdtrik(delta, n, eps))
+        # the boundary lies between the counts k* and k* + 1
+        guess = binom_sup_k(n, eps, delta) + 0.5
     elif method == "hoeffding":
         eps = float(eps)
         if not 0 < eps <= losses.bound:

@@ -5,6 +5,7 @@ check here goes through a different route: exact rational summation,
 multi-precision summation, or scipy's betainc-based reference.
 """
 
+import itertools
 import math
 import struct
 import tracemalloc
@@ -24,7 +25,6 @@ from conformal_kit.dists import (
     BetaParams,
     beta_reg,
     betabin_pmf,
-    betabin_quantile,
     binom_cdf,
     binom_inf_p,
     binom_sup_k,
@@ -416,6 +416,22 @@ def test_binom_inf_p_builds_its_counts_once(monkeypatch, chain_calls):
     assert 1 <= len(builds) <= 2 < len(chain_calls)
 
 
+def test_binom_inf_p_states_its_error_only_at_bracket_ends(monkeypatch):
+    # the slack enters only where a bracket end is certified: once for the
+    # guess's margin and at most once per end tried, never at a plain probe
+    err_calls = _counted(monkeypatch, "_cdf_err")
+    boundary = dists._boundary
+    pairs = []
+    monkeypatch.setattr(
+        dists,
+        "_boundary",
+        lambda lo, hi, half, ok, ends: pairs.extend(ends) or boundary(lo, hi, half, ok, ends),
+    )
+    n = 10**6
+    binom_inf_p(n // 10 - 1, n, 0.1)
+    assert 0 < len(pairs) and len(err_calls) <= 1 + 2 * len(pairs)
+
+
 def test_binom_sup_k_reads_one_chain(monkeypatch, chain_calls):
     # the read starts below the answer and no value sits near delta, so
     # one chain decides every count and binom_cdf settles none
@@ -511,19 +527,59 @@ def test_betabin_pmf_exact_small():
         assert pmf[i] == pytest.approx(want, rel=1e-13)
 
 
+def _betabin_table(params):
+    # the CDF summarize reads both delta_bar's cut and the KS reference from
+    return dists._cdf_table(*dists._betabin_chain(params), 0)
+
+
 def test_betabin_cdf_exact_and_scipy():
-    # the CDF summarize compares coverages against: cumulative pmf sums
     cases = [(40, 9, 2), (200, 181, 20), (5000, 913, 88)]
     for trials, a, b in cases:
-        cdf = np.cumsum(betabin_pmf(BetaBinParams(trials, a, b)))
-        assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
+        cdf = _betabin_table(BetaBinParams(trials, a, b))
+        assert cdf[-1] == 1.0
         ref = scipy.stats.betabinom.cdf(np.arange(trials + 1), trials, a, b)
         assert np.max(np.abs(cdf - ref)) < 5e-12
     # exact rational check on the small case
-    cdf = np.cumsum(betabin_pmf(BetaBinParams(40, 9, 2)))
+    cdf = _betabin_table(BetaBinParams(40, 9, 2))
     for k in (0, 3, 17, 39):
         want = float(betabin_cdf_exact(k, 40, 9, 2))
         assert cdf[k] == pytest.approx(want, rel=1e-12)
+    # summarize's cut, the largest count whose CDF is <= q, brackets q
+    cdf = _betabin_table(BetaBinParams(5000, 913, 88))
+    for q in (0.001, 0.05, 0.1, 0.5, 0.9, 0.999):
+        t = np.searchsorted(cdf, q, "right") - 1
+        assert scipy.stats.betabinom.cdf(t, 5000, 913, 88) <= q
+        assert scipy.stats.betabinom.cdf(t + 1, 5000, 913, 88) > q
+    # mass at zero already exceeds q: nothing qualifies
+    assert np.searchsorted(_betabin_table(BetaBinParams(10, 2, 3)), 0.001, "right") == 0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 120), st.integers(1, 300), st.integers(1, 300))
+def test_betabin_within_its_stated_bound(trials, a, b):
+    # the bound _betabin_chain states for integer shapes: r = 3 roundings
+    # per ratio, L = trials + 1 terms and no window term
+    r = 3
+    bound = ((2 * r + 6) * (trials + 1) + 2) * dists._LD_EPS + 2.0**-53
+    params = BetaBinParams(trials, a, b)
+    pmf = [betabin_pmf_exact(i, trials, a, b) for i in range(trials + 1)]
+    cdf = list(itertools.accumulate(pmf))
+    for got, want in ((betabin_pmf(params), pmf), (_betabin_table(params), cdf)):
+        for k, exact in enumerate(want):
+            assert abs(Fraction(float(got[k])) - exact) <= bound * exact, (k, params)
+
+
+def test_betabin_pmf_keeps_a_tiny_shape():
+    # a shape far below 1 keeps its digits only when it is added once to an
+    # exact count, not summed with n before counts are taken back off
+    trials, a, b = 10, 5.0, 1e-10
+    bound = ((2 * 5 + 6) * (trials + 1) + 2) * dists._LD_EPS + 2.0**-53
+    pmf = betabin_pmf(BetaBinParams(trials, a, b))
+    with mpmath.workdps(40):
+        norm = mpmath.beta(a, b)
+        for k in range(trials + 1):
+            want = mpmath.binomial(trials, k) * mpmath.beta(k + a, trials - k + b) / norm
+            assert abs(pmf[k] - want) <= bound * want, k
 
 
 def test_betabin_moments():
@@ -549,16 +605,6 @@ def test_betabin_matches_compound_monte_carlo():
         p = float(cdf[k])
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(np.mean(sims <= k) - p) < 3 * sigma + 1e-12
-
-
-def test_betabin_quantile_bracketing():
-    params = BetaBinParams(5000, 913, 88)
-    for q in (0.001, 0.05, 0.1, 0.5, 0.9, 0.999):
-        t = betabin_quantile(q, params)
-        assert scipy.stats.betabinom.cdf(t, 5000, 913, 88) <= q
-        assert scipy.stats.betabinom.cdf(t + 1, 5000, 913, 88) > q
-    # mass at zero already exceeds q: nothing qualifies
-    assert betabin_quantile(0.001, BetaBinParams(10, 2, 3)) == -1
 
 
 def test_betabin_params_validation():

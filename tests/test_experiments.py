@@ -254,25 +254,28 @@ def test_summarize_hand_computed():
     assert s.mean_length == pytest.approx(2.0, rel=1e-15)
     # floor(0.8 * 10) = 8: trials with count <= 8
     assert s.delta_hat == pytest.approx(0.4, rel=1e-15)
-    # independent quantile: largest t with BetaBin cdf <= 0.3
-    cut = max(
-        t
-        for t in range(-1, n_test + 1)
-        if (t < 0 or float(betabin_cdf_exact(t, n_test, 9, 2)) <= 0.3)
-    )
-    assert s.delta_bar == pytest.approx(
-        np.mean(np.array(counts) <= cut), rel=1e-15
-    )
-    ref = np.array(
-        [float(betabin_cdf_exact(k, n_test, 9, 2)) for k in range(n_test + 1)]
-    )
-    ecdf = np.cumsum(np.bincount(counts, minlength=n_test + 1)) / 5
-    assert s.ks_distance == pytest.approx(np.max(np.abs(ecdf - ref)), rel=1e-9)
-    assert s.dominance_gap == pytest.approx(np.max(ecdf - ref), rel=1e-9)
-    assert s.dominance_gap <= s.ks_distance
     assert s.theoretical.beta_cdf[8] == pytest.approx(beta_reg(0.8, law), rel=1e-12)
     assert s.histogram.counts.sum() == 5
     assert len(s.histogram.edges) == math.ceil(math.sqrt(5)) + 1
+    # the second law's CDF at 15 is exactly 1/2 = delta, so its cut counts 15
+    for n_test, counts, (a, b), delta in [
+        (10, counts, (9, 2), 0.3),
+        (20, [20, 17, 15, 15, 12], (16, 5), 0.5),
+    ]:
+        reports = [
+            TrialReport(j, 0.0, c / n_test, 1.0, n_test, n_test)
+            for j, c in enumerate(counts)
+        ]
+        s = summarize(reports, BetaParams(a, b), eps=0.2, delta=delta, n_test=n_test)
+        exact = [betabin_cdf_exact(k, n_test, a, b) for k in range(n_test + 1)]
+        # independent quantile: largest t with exact BetaBin cdf <= delta
+        cut = max(t for t in range(-1, n_test + 1) if t < 0 or exact[t] <= delta)
+        assert s.delta_bar == np.mean(np.array(counts) <= cut)
+        ref = np.array([float(c) for c in exact])
+        ecdf = np.cumsum(np.bincount(counts, minlength=n_test + 1)) / len(counts)
+        assert s.ks_distance == pytest.approx(np.max(np.abs(ecdf - ref)), rel=1e-9)
+        assert s.dominance_gap == pytest.approx(np.max(ecdf - ref), rel=1e-9)
+        assert s.dominance_gap <= s.ks_distance
 
 
 def test_summarize_beta_cdf_matches_scalar_path():

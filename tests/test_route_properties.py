@@ -178,7 +178,7 @@ def test_ltt_is_the_walk_where_an_ulp_decides(n, eps):
 
 
 @pytest.mark.parametrize(
-    "sigmas", [None, math.nan, 10.0, -10.0], ids=["bdtrik", "nan", "10.0", "-10.0"]
+    "sigmas", [None, math.nan, 10.0, -10.0], ids=["sup_k", "nan", "10.0", "-10.0"]
 )
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(st.data())
@@ -192,11 +192,11 @@ def test_ucb_is_the_scan(sigmas, data):
         if sigmas is not None:
             # the guess then certifies no bracket end, or only the one on
             # its own side of the boundary
-            bdtrik = dists._bdtrik
+            sup_k = dists.binom_sup_k
             mp.setattr(
                 risk,
-                "_bdtrik",
-                lambda y, n, p: bdtrik(y, n, p) + sigmas * math.sqrt(n * p * (1 - p)),
+                "binom_sup_k",
+                lambda n, p, y: sup_k(n, p, y) + sigmas * math.sqrt(n * p * (1 - p)),
             )
         got = ucb_lambda(losses, eps, delta)
     assert same_float(got, ucb_scan(losses, eps, delta)), (vals, eps, delta)
