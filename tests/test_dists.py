@@ -544,14 +544,6 @@ def test_betabin_cdf_exact_and_scipy():
     for k in (0, 3, 17, 39):
         want = float(betabin_cdf_exact(k, 40, 9, 2))
         assert cdf[k] == pytest.approx(want, rel=1e-12)
-    # summarize's cut, the largest count whose CDF is <= q, brackets q
-    cdf = _betabin_table(BetaBinParams(5000, 913, 88))
-    for q in (0.001, 0.05, 0.1, 0.5, 0.9, 0.999):
-        t = np.searchsorted(cdf, q, "right") - 1
-        assert scipy.stats.betabinom.cdf(t, 5000, 913, 88) <= q
-        assert scipy.stats.betabinom.cdf(t + 1, 5000, 913, 88) > q
-    # mass at zero already exceeds q: nothing qualifies
-    assert np.searchsorted(_betabin_table(BetaBinParams(10, 2, 3)), 0.001, "right") == 0
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -605,6 +597,17 @@ def test_betabin_matches_compound_monte_carlo():
         p = float(cdf[k])
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(np.mean(sims <= k) - p) < 3 * sigma + 1e-12
+
+
+def test_betabin_quantile_bracketing():
+    # summarize's cut, the largest count whose CDF is <= q, brackets q
+    cdf = _betabin_table(BetaBinParams(5000, 913, 88))
+    for q in (0.001, 0.05, 0.1, 0.5, 0.9, 0.999):
+        t = np.searchsorted(cdf, q, "right") - 1
+        assert scipy.stats.betabinom.cdf(t, 5000, 913, 88) <= q
+        assert scipy.stats.betabinom.cdf(t + 1, 5000, 913, 88) > q
+    # mass at zero already exceeds q: nothing qualifies
+    assert np.searchsorted(_betabin_table(BetaBinParams(10, 2, 3)), 0.001, "right") == 0
 
 
 def test_betabin_params_validation():
