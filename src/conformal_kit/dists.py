@@ -25,12 +25,12 @@ The decisions Bin(k; n, eps) <= delta over many counts, in ``binom_sup_k``
 (the inversion in k) and ltt's tests, read one chain as a table of every
 count and let ``binom_cdf`` settle the values near delta, up to the
 first count that decides (``_first_exceeding``).  The inversion in p,
-``binom_inf_p``, bisects the exact CDF (``_boundary``) from a bracket
-beside scipy's ``betainccinv`` guess: an end counts once the CDF there
-clears the level by 1000 times ``_cdf_err``, ``binom_cdf``'s stated
-worst-case relative error (about 1.1e-14 at n = 10^6), and the ends
-tried first sit where the CDF's normal approximation puts two such
-slacks of change, nearer the larger n is.  Every probe beyond a
+``binom_inf_p``, bisects the exact CDF from a bracket beside scipy's
+``betainccinv`` guess: an end counts once the CDF there clears the level
+by 1000 times ``_cdf_err``, ``binom_cdf``'s stated worst-case relative
+error (about 1.1e-14 at n = 10^6), and the ends tried first sit where
+the CDF's normal approximation puts two such slacks of change, nearer
+the larger n is.  Every probe beyond a
 certified end takes its outcome without the CDF, so the probe sequence
 and the result are the plain bisection's, bit for bit; an end that fails
 to certify, or a guess that is not finite, leaves that side to the plain
@@ -386,40 +386,6 @@ def _first_exceeding(n: int, p: float, lo: int, hi: int, delta: float, used=None
     return lo + stop
 
 
-def _boundary(lo, hi, half, ok, ends):
-    """Final bracket (lo, hi) of a bisection for the change of ``ok``.
-
-    ``ok(x, side)`` is monotone in x, false at ``lo`` and true at ``hi``
-    (neither end is evaluated).  ``side`` 0 asks the plain question; +1
-    asks ``ok`` to hold, and -1 to fail, by a slack the caller computes at
-    x, so that the answer there is every probe's beyond x.  Each (x, y)
-    in ``ends`` is a pair of bracket ends beside a guess, tried in turn
-    until one of each certifies: x once ``ok(x, -1)`` fails, y once
-    ``ok(y, 1)`` holds.  Bisection by ``half`` then starts from (lo, hi),
-    as the plain search does, and a probe beyond a certified end takes
-    that end's outcome without calling ``ok``.  It stops when ``half``
-    returns an end, i.e. at adjacent points, and raises ArithmeticError
-    if ``_BISECT_MAX_ITER`` halvings do not get there.
-    """
-    a, b = lo, hi
-    for x, y in ends:
-        if a == lo and lo < x < hi and not ok(x, -1):
-            a = x
-        if b == hi and lo < y < hi and ok(y, 1):
-            b = y
-    for _ in range(_BISECT_MAX_ITER):
-        mid = half(lo, hi)
-        if mid == lo or mid == hi:
-            return lo, hi
-        if mid >= b or (mid > a and ok(mid, 0)):
-            hi = mid
-        else:
-            lo = mid
-    raise ArithmeticError(
-        f"bisection did not reach adjacent points in {_BISECT_MAX_ITER} halvings"
-    )
-
-
 def binom_sup_k(n, eps: float, delta: float) -> int:
     """Largest k in {0..n} with Bin(k; n, eps) <= delta, -1 if there is none.
 
@@ -479,13 +445,13 @@ def binom_inf_p(k, n, delta: float) -> float:
     The bracket ends sit at relative steps either side of scipy's
     ``betainccinv`` root (``bdtri`` is NaN for n >= 10^12): first at the
     step over which ``_inf_p_slope`` puts two certification slacks of CDF
-    change, when that step is below 1e-9, then at 1e-9, 1e-6 and 1e-3.
-    A wrong slope only costs calls, since every end is certified by the
-    exact CDF.  The probes read the CDF through one memo of chain counts
-    that lives for this call only: the ones near the root share the
-    chain's ends, so the counts are built once per inversion, not once
-    per probe, at the cost of holding them (about 1.8 times the peak
-    memory of a single CDF read).
+    change, when that step is below 1e-9, then at 1e-9, 1e-6 and 1e-3,
+    tried in turn until each side certifies.  A wrong slope only costs
+    calls, since every end is certified by the exact CDF.  The probes
+    read the CDF through one memo of chain counts that lives for this call
+    only: the ones near the root share the chain's ends, so the counts are
+    built once per inversion, not once per probe, at the cost of holding
+    them (about 1.8 times the peak memory of a single CDF read).
     Raises ArithmeticError if ``_BISECT_MAX_ITER`` halvings do not reach
     adjacent doubles.
 
@@ -505,23 +471,39 @@ def binom_inf_p(k, n, delta: float) -> float:
         return 1.0
     g = float(_betainccinv(k + 1, n - k, delta))
     memo = {}
-    ends = []
+
+    def cdf(p: float) -> float:
+        return _cdf(k, n, p, memo)
+
+    # the CDF exceeds delta at lo and not at hi; a probe at or below a
+    # fails, and one at or above b holds, without evaluating the CDF
+    lo, hi = 0.0, 1.0
+    a, b = lo, hi
     if 0.0 < g < 1.0:
         steps = _GUESS_STEPS
         margin = _SLACK * _cdf_err(k, n, g)
         slope = _inf_p_slope(n, delta, g)
         if slope * _GUESS_STEPS[0] > 2.0 * margin:
             steps = (2.0 * margin / slope, *_GUESS_STEPS)
-        ends = [(g * (1.0 - r), g * (1.0 + r)) for r in steps]
-    _, hi = _boundary(
-        0.0,
-        1.0,
-        lambda lo, hi: 0.5 * (lo + hi),
-        lambda p, side: _cdf(k, n, p, memo)
-        <= (delta * (1.0 - side * _SLACK * _cdf_err(k, n, p)) if side else delta),
-        ends,
+        for r in steps:
+            x, y = g * (1.0 - r), g * (1.0 + r)
+            if a == lo and lo < x < hi:
+                if cdf(x) > delta * (1.0 + _SLACK * _cdf_err(k, n, x)):
+                    a = x
+            if b == hi and lo < y < hi:
+                if cdf(y) <= delta * (1.0 - _SLACK * _cdf_err(k, n, y)):
+                    b = y
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if mid >= b or (mid > a and cdf(mid) <= delta):
+            hi = mid
+        else:
+            lo = mid
+    raise ArithmeticError(
+        f"bisection did not reach adjacent doubles in {_BISECT_MAX_ITER} halvings"
     )
-    return hi
 
 
 def beta_reg(x: float, params: BetaParams) -> float:

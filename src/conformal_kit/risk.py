@@ -18,14 +18,15 @@ when no threshold qualifies.  Infima over lambda are taken over the
 breakpoints, and the threshold conditions are compared in exact
 rational arithmetic.  The exact binomial routes read the binomial a few
 times per calibration: learn-then-test takes its p-values from one table,
-so it is O(n), and upper-confidence-bound calibration searches from a
-bracket certified by its own bound.  The equivalence with the rank-based
-calibrators is a theorem, and these routes are kept independent enough
-that the test suite can actually check it.
+so it is O(n), and upper-confidence-bound calibration checks its bound at
+two counts.  Each route then cuts the candidates' loss sums once.  The
+equivalence with the rank-based calibrators is a theorem, and these
+routes are kept independent enough that the test suite can check it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._rational import as_fraction, on_grid
-from .dists import _boundary, _check_prob, _check_trials, _first_exceeding
+from .dists import _check_prob, _check_trials, _first_exceeding
 from .dists import binom_inf_p, binom_sup_k
 
 __all__ = ["Losses", "crc_lambda", "ucb_lambda", "ltt_lambda"]
@@ -132,28 +133,20 @@ class Losses:
         return float(self.totals[np.searchsorted(self.lambdas, lam, side="right")])
 
 
-def _first_ok(losses: Losses, ok, guess: float = math.nan) -> float:
+def _first_ok(losses: Losses, ok) -> float:
     """Smallest candidate threshold whose loss sum passes ok, else +inf.
 
-    The candidates are -inf, every finite breakpoint and +inf.  ok must
-    fail on a prefix of them and hold on the rest, as any condition
-    monotone in the sum does for non-increasing losses, so ``_boundary``
-    halving over their indices locates the boundary exactly.  A finite
-    ``guess`` of the sum there orders the probes: the candidates whose
-    sums lie a count beyond it either way are the bracket ends, certified
-    by ok itself.  A NaN or wrong guess leaves the plain halving.
+    The candidates are -inf, every finite breakpoint and +inf.  ok maps
+    the array of their sums to a bool array that fails on a prefix and
+    holds on the rest, as any condition monotone in the sum does for
+    non-increasing losses, so the number of failures indexes the answer.
     """
     lam = losses.lambdas
     # the finite breakpoints are lam[a:b]; candidate k's loss sum is sums[k]
     a = np.searchsorted(lam, -math.inf, side="right")
     b = np.searchsorted(lam, math.inf)
     sums = np.append(losses.totals[a : b + 1], losses.totals[-1])
-    ends = []
-    if math.isfinite(guess):
-        x = np.count_nonzero(sums >= math.ceil(guess) + 1) - 1
-        ends = [(int(x), int(np.count_nonzero(sums > math.floor(guess) - 1)))]
-    _, k = _boundary(-1, sums.size, lambda lo, hi: (lo + hi) // 2,
-                     lambda k, _: ok(float(sums[k])), ends)
+    k = np.count_nonzero(~ok(sums))
     return float(np.concatenate(([-math.inf], lam[a:b], [math.inf] * 2))[k])
 
 
@@ -161,10 +154,11 @@ def crc_lambda(losses: Losses, alpha) -> float:
     """Conformal risk control: inf{lam : (n R_hat(lam) + B)/(n+1) <= alpha}.
 
     The condition is monotone for non-increasing losses, so the infimum is
-    located by binary search over the exact breakpoint candidates; the
-    comparison n R_hat + B <= alpha (n + 1) runs in rational arithmetic,
-    with a float alpha moved onto the grid j/(n + 1) it rounds from, so
-    grid-boundary levels never misclassify.  B is the bound of the losses.
+    the first breakpoint candidate that meets it.  The comparison
+    n R_hat + B <= alpha (n + 1) is exact: a float alpha moves onto the
+    grid j/(n + 1) it rounds from, so grid-boundary levels never
+    misclassify, and a sum passes when it is at most the largest double
+    within the rational bound.  B is the bound of the losses.
     Returns +inf when no finite threshold qualifies, which for 0-1 loss is
     the full-set sentinel.
 
@@ -185,15 +179,17 @@ def crc_lambda(losses: Losses, alpha) -> float:
     # sum of losses <= alpha (n + 1) - B, exactly
     n = losses.n
     threshold = on_grid(alpha, n + 1) * (n + 1) - as_fraction(B)
-    return _first_ok(losses, lambda total: Fraction(total) <= threshold)
+    cut = float(threshold)
+    if Fraction(cut) > threshold:
+        cut = math.nextafter(cut, -math.inf)
+    return _first_ok(losses, lambda sums: sums <= cut)
 
 
-def _zero_one_counts(totals, n: int):
-    """Exceedance counts behind sums of 0-1 losses, as Python ints.
+def _zero_one_counts(totals, n: int) -> np.ndarray:
+    """Exceedance counts behind an array of sums of 0-1 losses, as int64.
 
-    Takes one sum or an array of them and returns an int or a list.  A sum
-    further than the tolerance from an integer means the losses are not
-    0-1, which the exact binomial routes need.
+    A sum further than the tolerance from an integer means the losses are
+    not 0-1, which the exact binomial routes need.
     """
     t = np.asarray(totals, dtype=float)
     counts = np.round(t)
@@ -203,7 +199,7 @@ def _zero_one_counts(totals, n: int):
             "exact binomial bound needs 0-1 losses; "
             f"sum of losses {float(t[off].flat[0])} is not an integer"
         )
-    return counts.astype(np.int64).tolist()
+    return counts.astype(np.int64)
 
 
 def ucb_lambda(
@@ -217,12 +213,13 @@ def ucb_lambda(
     Selects inf{lam : R_hat_plus(lam') <= eps for all lam' >= lam}, where
     R_hat_plus is a pointwise 1 - delta upper confidence bound on the
     risk.  Both shipped bounds are monotone in the empirical risk, so for
-    non-increasing losses the condition is a suffix property of the
-    breakpoint candidates and binary search locates the boundary exactly;
-    the exact binomial one starts from the bracket one count either side of
-    the largest count k* with Bin(k*; n, eps) <= delta (``binom_sup_k``),
-    certified by the bound itself.  Returns +inf when no threshold
-    qualifies.
+    non-increasing losses the condition holds on a suffix of the
+    breakpoint candidates, and one cut over their sums finds it.  The
+    exact binomial bound, assumed monotone in the count, admits the counts
+    up to the largest k* with Bin(k*; n, eps) <= delta (``binom_sup_k``),
+    which the bound itself certifies at k* and k* + 1; if it does not,
+    a bisection over the counts finds the largest it admits.  Returns +inf
+    when no threshold qualifies.
 
     Parameters
     ----------
@@ -243,15 +240,21 @@ def ucb_lambda(
     n = losses.n
     delta = _check_prob("delta", delta, open_interval=True)
 
-    guess = math.nan
     if method == "exact-binomial":
         eps = _check_prob("eps", eps, open_interval=True)
 
-        def ok(total: float) -> bool:
-            return binom_inf_p(_zero_one_counts(total, n), n, delta) <= eps
+        def over(count: int) -> bool:
+            return binom_inf_p(count, n, delta) > eps
 
-        # the boundary lies between the counts k* and k* + 1
-        guess = binom_sup_k(n, eps, delta) + 0.5
+        def ok(sums):
+            counts = _zero_one_counts(sums, n)  # every sum, before any bound
+            guess = binom_sup_k(n, eps, delta)
+            k = math.floor(guess) if math.isfinite(guess) else None
+            if k is None or over(k) or not over(k + 1):
+                # the first count over eps, from -1 (never) to n (always)
+                k = bisect.bisect_left(range(-1, n + 1), True, key=over) - 2
+            return counts <= k
+
     elif method == "hoeffding":
         eps = float(eps)
         if not 0 < eps <= losses.bound:
@@ -261,13 +264,13 @@ def ucb_lambda(
             )
         margin = losses.bound * math.sqrt(math.log(1.0 / delta) / (2.0 * n))
 
-        def ok(total: float) -> bool:
-            return total / n + margin <= eps
+        def ok(sums):
+            return sums / n + margin <= eps
 
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    return _first_ok(losses, ok, guess)
+    return _first_ok(losses, ok)
 
 
 def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:

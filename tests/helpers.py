@@ -10,8 +10,9 @@ the reference ``binom_sup_k``'s one-chain read must match, and
 ``binom_inf_p_bisect`` the one the bracketed ``binom_inf_p`` must match
 bit for bit; ``ltt_walk`` replays ``ltt_lambda`` with one ``binom_cdf``
 p-value per grid point and the fixed-sequence walk taken one point at a
-time, and ``ucb_scan`` replays exact-binomial ``ucb_lambda`` with one
-``binom_inf_p`` per candidate threshold.
+time, ``ucb_scan`` replays exact-binomial ``ucb_lambda`` with one
+``binom_inf_p`` per candidate threshold, and ``crc_scan`` replays
+``crc_lambda`` with one exact comparison per candidate.
 Likewise the two harness loops at the end replay ``tune_nominal_quantiles``
 with one fitted predictor per (candidate, fold) and ``run_trials`` with the
 scores recomputed in every trial: the references for the shared-work
@@ -26,6 +27,7 @@ from math import comb
 import mpmath
 import numpy as np
 
+from conformal_kit._rational import on_grid
 from conformal_kit.calibration import NonconformityScores, plan
 from conformal_kit.dists import binom_cdf, binom_inf_p
 from conformal_kit.experiments import Dataset, TrialReport
@@ -219,6 +221,23 @@ def ucb_scan(losses, eps: float, delta: float) -> float:
             break
         kept = l
     return kept
+
+
+def crc_scan(losses, alpha) -> float:
+    """``crc_lambda`` as one exact comparison per candidate threshold.
+
+    The candidates are -inf, the finite breakpoints from the bottom up and
+    +inf.  The scan returns the first whose loss sum s meets
+    s + B <= alpha (n + 1) in Fraction arithmetic, alpha moved onto the
+    grid j/(n + 1) by ``on_grid``, and +inf when none does.
+    """
+    n, bound = losses.n, Fraction(losses.bound)
+    level = on_grid(alpha, n + 1)
+    finite = losses.lambdas[np.isfinite(losses.lambdas)].tolist()
+    for l in [-math.inf, *finite, math.inf]:
+        if Fraction(losses.total(l)) + bound <= level * (n + 1):
+            return l
+    return math.inf
 
 
 def sort_scores(values) -> np.ndarray:

@@ -418,18 +418,14 @@ def test_binom_inf_p_builds_its_counts_once(monkeypatch, chain_calls):
 
 def test_binom_inf_p_states_its_error_only_at_bracket_ends(monkeypatch):
     # the slack enters only where a bracket end is certified: once for the
-    # guess's margin and at most once per end tried, never at a plain probe
+    # guess's margin and at most once per end tried, never at a plain
+    # probe; at n = 10^6 the ends come in four pairs, at the slope's step
+    # and at the three fixed ones
     err_calls = _counted(monkeypatch, "_cdf_err")
-    boundary = dists._boundary
-    pairs = []
-    monkeypatch.setattr(
-        dists,
-        "_boundary",
-        lambda lo, hi, half, ok, ends: pairs.extend(ends) or boundary(lo, hi, half, ok, ends),
-    )
     n = 10**6
     binom_inf_p(n // 10 - 1, n, 0.1)
-    assert 0 < len(pairs) and len(err_calls) <= 1 + 2 * len(pairs)
+    pairs = 1 + len(dists._GUESS_STEPS)
+    assert 0 < len(err_calls) <= 1 + 2 * pairs
 
 
 def test_binom_sup_k_reads_one_chain(monkeypatch, chain_calls):

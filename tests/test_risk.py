@@ -226,6 +226,19 @@ def test_ucb_hoeffding_never_tighter():
         assert lam_h >= lam_e
 
 
+def test_ucb_checks_every_sum_is_a_count():
+    # one sum of 2001 is not a count; a route that reads the bound at a few
+    # sums only misses it (1.31510376473437 here), and ltt rejects it
+    s = np.sort(np.random.default_rng(0).standard_normal(2000))
+    mat = (s[:, None] > np.concatenate(([-math.inf], s))).astype(float)
+    mat[0, 1] = 0.5  # the smallest score's loss on the first finite step
+    losses = Losses.steps(s, mat, bound=1.0)
+    assert losses.totals[1] == 1999.5
+    for route in (ucb_lambda, ltt_lambda):
+        with pytest.raises(ValueError, match="0-1 losses"):
+            route(losses, 0.1, 0.1)
+
+
 def test_ucb_method_validation():
     losses = Losses.zero_one([1.0])
     with pytest.raises(ValueError):
@@ -344,10 +357,11 @@ def test_ltt_settles_only_up_to_the_walks_stop(monkeypatch):
 
 
 def test_ucb_searches_from_a_certified_bracket(monkeypatch):
-    # a plain halving over the 7002 candidates makes about 13 calls
+    # the bound is read at binom_sup_k's count k* and at k* + 1 only; a
+    # plain halving over the 7002 candidates makes about 13 calls
     calls = _counted(monkeypatch, risk, "binom_inf_p")
     scores = np.random.default_rng(1502).standard_normal(7000)
     losses = Losses.zero_one(scores)
     lam = ucb_lambda(losses, 0.1, 0.1)
-    assert len(calls) <= 6
+    assert len(calls) == 2
     assert lam == p_hat(NonconformityScores(scores), 0.1, 0.1).lambda_hat

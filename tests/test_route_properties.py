@@ -9,10 +9,13 @@ rule; it must match its oracle ``ltt_walk``, with delta also drawn on a
 p-value or one ulp to either side of it, on a value of the p-value table
 it reads, or subnormal.  Exact-binomial upper-confidence-bound
 calibration must also match its own oracle ``ucb_scan``, with its count
-guess as given, NaN, or 10 sigma off either way.
+guess as given, NaN, or 10 sigma off either way, and conformal risk
+control on fractional losses its oracle ``crc_scan``, with a sum at the
+double nearest its rational threshold or one ulp to either side of it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,11 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conformal_kit import dists, risk
+from conformal_kit._rational import on_grid
 from conformal_kit.calibration import NonconformityScores, p_hat, q_hat
 from conformal_kit.dists import binom_cdf
 from conformal_kit.risk import Losses, crc_lambda, ltt_lambda, ucb_lambda
 
-from helpers import ltt_walk, ucb_scan
+from helpers import crc_scan, ltt_walk, ucb_scan
 
 
 def same_float(a: float, b: float) -> bool:
@@ -200,3 +204,21 @@ def test_ucb_is_the_scan(sigmas, data):
             )
         got = ucb_lambda(losses, eps, delta)
     assert same_float(got, ucb_scan(losses, eps, delta)), (vals, eps, delta)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_crc_is_the_scan_at_its_threshold(data):
+    # with n = 2 the threshold T = 3 alpha - B is seldom a double, so a sum
+    # at the double nearest T can lie either side of it
+    bound = data.draw(st.sampled_from([1.0, 1 / 3]))
+    alpha = data.draw(st.floats(bound / 3, 2 * bound / 3))
+    t = float(on_grid(alpha, 3) * 3 - Fraction(bound))
+    x = data.draw(
+        st.sampled_from(
+            [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+        ).filter(lambda x: 0.0 <= x <= bound)
+    )
+    losses = Losses.steps([0.0, 1.0], [[bound, x, 0.0], [bound, 0.0, 0.0]], bound)
+    got = crc_lambda(losses, alpha)
+    assert same_float(got, crc_scan(losses, alpha)), (bound, alpha, x)
