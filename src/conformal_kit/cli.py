@@ -56,12 +56,6 @@ from .verify import SUITE_NAMES, run_suites
 
 
 def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return _num(float(obj))
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, Fraction):
         return _frac(obj)
     if dataclasses.is_dataclass(obj):

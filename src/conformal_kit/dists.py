@@ -486,11 +486,12 @@ def binom_inf_p(k, n, delta: float) -> float:
         if slope * _GUESS_STEPS[0] > 2.0 * margin:
             steps = (2.0 * margin / slope, *_GUESS_STEPS)
         for r in steps:
+            # every step is below 1, so x lies in (0, g]; only y can reach 1
             x, y = g * (1.0 - r), g * (1.0 + r)
-            if a == lo and lo < x < hi:
+            if a == lo:
                 if cdf(x) > delta * (1.0 + _SLACK * _cdf_err(k, n, x)):
                     a = x
-            if b == hi and lo < y < hi:
+            if b == hi and y < hi:
                 if cdf(y) <= delta * (1.0 - _SLACK * _cdf_err(k, n, y)):
                     b = y
     for _ in range(_BISECT_MAX_ITER):

@@ -128,9 +128,10 @@ class Losses:
         totals = [math.fsum(col) for col in mat.T.tolist()]
         return cls(lambdas, totals, mat.shape[0], bound)
 
-    def total(self, lam: float) -> float:
-        """Sum of the losses at threshold lam."""
-        return float(self.totals[np.searchsorted(self.lambdas, lam, side="right")])
+    def total(self, lam):
+        """Sum of the losses at threshold lam, a float; an array for an array."""
+        t = self.totals[np.searchsorted(self.lambdas, lam, side="right")]
+        return float(t) if np.ndim(t) == 0 else t
 
 
 def _first_ok(losses: Losses, ok) -> float:
@@ -188,16 +189,16 @@ def crc_lambda(losses: Losses, alpha) -> float:
 def _zero_one_counts(totals, n: int) -> np.ndarray:
     """Exceedance counts behind an array of sums of 0-1 losses, as int64.
 
-    A sum further than the tolerance from an integer means the losses are
-    not 0-1, which the exact binomial routes need.
+    A sum further than the tolerance from an integer, or above n, means
+    the losses are not 0-1, which the exact binomial routes need.
     """
     t = np.asarray(totals, dtype=float)
     counts = np.round(t)
-    off = np.abs(t - counts) > _COUNT_TOL * max(1, n)
+    off = (np.abs(t - counts) > _COUNT_TOL * max(1, n)) | (counts > n)
     if off.any():
         raise ValueError(
             "exact binomial bound needs 0-1 losses; "
-            f"sum of losses {float(t[off].flat[0])} is not an integer"
+            f"sum of losses {float(t[off].flat[0])} is not a count in 0..{n}"
         )
     return counts.astype(np.int64)
 
@@ -233,7 +234,8 @@ def ucb_lambda(
     method : {"exact-binomial", "hoeffding"}
         Bound used for R_hat_plus.  The exact binomial one, the smallest p
         whose lower binomial tail at the observed exceedance count stays
-        within delta, requires 0-1 losses and is never looser; the
+        within delta, requires 0-1 losses (each candidate's sum a count
+        in 0..n, else ValueError) and is never looser; the
         Hoeffding one, R_hat + B sqrt(ln(1/delta)/2n), works for any
         bounded loss (B from the loss bound).
     """
@@ -248,9 +250,8 @@ def ucb_lambda(
 
         def ok(sums):
             counts = _zero_one_counts(sums, n)  # every sum, before any bound
-            guess = binom_sup_k(n, eps, delta)
-            k = math.floor(guess) if math.isfinite(guess) else None
-            if k is None or over(k) or not over(k + 1):
+            k = binom_sup_k(n, eps, delta)
+            if over(k) or not over(k + 1):
                 # the first count over eps, from -1 (never) to n (always)
                 k = bisect.bisect_left(range(-1, n + 1), True, key=over) - 2
             return counts <= k
@@ -283,16 +284,18 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     each test, no correction for the grid size, and stops at the first
     p-value above delta.  Returns the smallest threshold it rejects, one
     past the last grid point whose p-value exceeds delta, or +inf when
-    that is the top one.  The counts fall as lambda rises, so the walk
-    stops at the smallest count on the grid whose p-value exceeds delta;
-    one read of Bin(.; n, eps) over the counts finds it,
+    that is the top one.  The grid's loss sums come from
+    ``Losses.total``, and the counts they hold fall as lambda rises, so
+    the walk stops at the smallest count on the grid whose p-value exceeds
+    delta; one read of Bin(.; n, eps) over the counts finds it,
     ``dists._first_exceeding``, the read ``binom_sup_k`` decides through,
     so the route is O(n) plus the grid.
 
     Parameters
     ----------
     losses : Losses
-        0-1 losses of the calibration observations.
+        0-1 losses of the calibration observations: every sum on the grid
+        must be a count in 0..n, else ValueError.
     eps, delta : float
         Risk level and family-wise error budget, each in (0, 1).
     grid : array_like, optional
@@ -311,8 +314,7 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     if lam.ndim != 1 or np.isnan(lam).any() or np.any(np.diff(lam) <= 0):
         raise ValueError("grid must be 1-d and strictly ascending")
     n = losses.n
-    totals = losses.totals[np.searchsorted(losses.lambdas, lam, side="right")]
-    counts = np.minimum(_zero_one_counts(totals, n), n)
+    counts = _zero_one_counts(losses.total(lam), n)
     stop = _first_exceeding(n, eps, 0, int(counts.max(initial=0)), delta, counts)
     # the walk keeps the points after the last whose count reaches the stop
     first = np.count_nonzero(counts >= stop)

@@ -55,10 +55,10 @@ def duality_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
     """Round-trip the marginal/tolerance conversions on random settings.
 
     Checks, per draw of (n, alpha, eps, delta): the smallest achievable
-    eps at (alpha, delta) indeed consumes at most delta; the dual alpha
-    of a tolerance pair selects the same order-statistic index as the
-    tolerance calibration itself, at both ends of its sharing interval;
-    and the exact marginal coverage mean sits inside its stated bounds.
+    eps at (alpha, delta) indeed consumes at most delta; the left end and
+    the middle of a tolerance plan's sharing interval, read as marginal
+    levels, select the plan's own order index; and the exact marginal
+    coverage mean sits inside its stated bounds.
     """
     rng = np.random.default_rng(seed)
     failures = 0
@@ -77,12 +77,9 @@ def duality_suite(trials: int = 200, seed: int = 0) -> SuiteResult:
 
         tol = plan(n, Tolerance(eps, delta))
         if not tol.full_set:
-            k_star = int(tol.dual.alpha * (n + 1) - 1)
-            idx_tol = n - k_star
-            lo = tol.dual.alpha
-            hi = Fraction(k_star + 2, n + 1)
+            lo, hi = tol.dual.interval
             same = all(
-                math.ceil((1 - a) * (n + 1)) == idx_tol
+                math.ceil((1 - a) * (n + 1)) == tol.order_index
                 for a in (lo, (lo + hi) / 2)
             )
             if not same:
@@ -302,7 +299,12 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suites(
     names=SUITE_NAMES, trials: int | None = None, seed: int | None = None
 ) -> list[SuiteResult]:
-    """Run the named suites with optional trial-count and seed overrides."""
+    """Run the named suites with optional trial-count and seed overrides.
+
+    A trial count below 1 is a ValueError, raised before any suite runs.
+    """
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     overrides = {
         key: value
         for key, value in (("trials", trials), ("seed", seed))

@@ -368,6 +368,13 @@ def test_verify_single_suite(capsys):
     assert payload["suites"][0]["passed"] is True
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("suite", ["duality", "equivalence", "ks", "superuniform"])
+def test_verify_needs_a_trial(capsys, suite, trials):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--trials", trials)
+    assert code == 2 and out == "" and "trials must be at least 1" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_suites", lambda *a, **k: [SuiteResult("fake", False, "boom")]

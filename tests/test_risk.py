@@ -239,6 +239,21 @@ def test_ucb_checks_every_sum_is_a_count():
             route(losses, 0.1, 0.1)
 
 
+def test_exact_routes_refuse_sums_above_n():
+    # bound 2 admits sums up to 20 over n = 10; the sum 12 is an integer
+    # but no count of 10 observations, so the losses are not 0-1
+    losses = Losses.steps(
+        [1.0, 2.0, 3.0], [[2, 2, 0, 0]] * 6 + [[2, 0, 0, 0]] * 4, bound=2.0
+    )
+    assert losses.totals.tolist() == [20.0, 12.0, 0.0, 0.0] and losses.n == 10
+    full = Losses.steps([1.0, 2.0, 3.0], [[1, 1, 0, 0]] * 10, bound=2.0)
+    assert full.totals.tolist() == [10.0, 10.0, 0.0, 0.0]
+    for route in (ucb_lambda, ltt_lambda):
+        with pytest.raises(ValueError, match="not a count in 0..10"):
+            route(losses, 0.3, 0.1)
+        assert route(full, 0.3, 0.1) == 2.0
+
+
 def test_ucb_method_validation():
     losses = Losses.zero_one([1.0])
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from conformal_kit import verify
 from conformal_kit.verify import (
     SUITE_NAMES,
+    duality_suite,
     equivalence_suite,
     identity_suite,
     run_suites,
@@ -68,6 +69,20 @@ def test_identity_catches_a_skewed_binomial_tail(monkeypatch):
     monkeypatch.setattr(verify, "binom_cdf", lambda *a: real(*a) * (1 + 1e-9))
     result = identity_suite()
     assert not result.passed and result.detail["max_abs_diff"] >= 1e-10
+
+
+def test_duality_reads_the_plans_order_index(monkeypatch):
+    real = verify.plan
+
+    def one_rank_high(n, target):
+        planned = real(n, target)
+        if isinstance(target, verify.Tolerance):
+            return dataclasses.replace(planned, order_index=planned.order_index + 1)
+        return planned
+
+    monkeypatch.setattr(verify, "plan", one_rank_high)
+    result = duality_suite(trials=50)
+    assert not result.passed and result.detail["failures"] > 0
 
 
 def test_trial_override_reaches_suites():
