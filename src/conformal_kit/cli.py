@@ -250,14 +250,17 @@ def _write_artifacts(out: Path, summary_json: str, reports, summary) -> None:
             )
     with open(out / "histogram.csv", "w") as fh:
         fh.write("bin_lo,bin_hi,count\n")
-        h = summary.histogram
-        for lo, hi, c in zip(h.edges[:-1], h.edges[1:], h.counts):
-            fh.write(f"{float(lo)!r},{float(hi)!r},{int(c)}\n")
+        # tolist() yields Python floats and ints, whose repr is the cell
+        edges = summary.histogram.edges.tolist()
+        counts = summary.histogram.counts.tolist()
+        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
+            fh.write(f"{lo!r},{hi!r},{c}\n")
     with open(out / "ecdf.csv", "w") as fh:
         fh.write("coverage,empirical_cdf,betabin_cdf,beta_cdf\n")
         t = summary.theoretical
-        for cov, e, bb, b in zip(t.coverage, summary.ecdf, t.betabin_cdf, t.beta_cdf):
-            fh.write(f"{float(cov)!r},{float(e)!r},{float(bb)!r},{float(b)!r}\n")
+        columns = (t.coverage, summary.ecdf, t.betabin_cdf, t.beta_cdf)
+        for cov, e, bb, b in zip(*(c.tolist() for c in columns)):
+            fh.write(f"{cov!r},{e!r},{bb!r},{b!r}\n")
 
 
 def cmd_verify(args) -> int:

@@ -122,15 +122,31 @@ def _order_index(level: float, k: int) -> int:
     return max(1, math.ceil(on_grid(level, k) * k)) - 1
 
 
+# Elements per k-NN query block, which holds at most _QUERY_CELLS // k rows.
+_QUERY_CELLS = 2**15
+
+
 def _neighbour_labels(features: np.ndarray, labels: np.ndarray, k: int):
-    """rows -> labels of their k nearest feature rows, sorted along each row."""
+    """(rows, columns) -> each row's sorted k nearest labels at those positions.
+
+    Rows are answered in blocks of at most _QUERY_CELLS // k (at least
+    one), and only the requested columns outlive a block, so the scratch
+    memory is bounded by _QUERY_CELLS elements per array, not rows * k.
+    Each row's neighbours are found on their own: blocking changes nothing.
+    """
     from scipy.spatial import cKDTree  # only the k-NN predictor needs it
 
     tree = cKDTree(features)
+    step = max(1, _QUERY_CELLS // k)
 
-    def query(rows: np.ndarray) -> np.ndarray:
-        _, idx = tree.query(rows, k=k)
-        return np.sort(labels[np.reshape(idx, (rows.shape[0], k))], axis=1)
+    def query(rows: np.ndarray, columns) -> np.ndarray:
+        out = np.empty((rows.shape[0], len(columns)))
+        for start in range(0, rows.shape[0], step):
+            block = rows[start : start + step]
+            _, idx = tree.query(block, k=k)
+            neigh = np.sort(labels[np.reshape(idx, (block.shape[0], k))], axis=1)
+            out[start : start + step] = neigh[:, columns]
+        return out
 
     return query
 
@@ -139,9 +155,10 @@ def fit_knn_quantile(train, config: KnnQuantileConfig) -> IntervalPredictor:
     """Conditional-quantile intervals from the k nearest training labels.
 
     predict(x) sorts the labels of the k nearest neighbours of x and
-    returns their ceil(lo_level k)-th and ceil(hi_level k)-th order
-    statistics (lower empirical quantiles).  Coming from one sorted
-    sample, the endpoints cannot cross.
+    reads two order statistics: the ceil(lo_level k)-th and the
+    ceil(hi_level k)-th (lower empirical quantiles).  Coming from one
+    sorted sample, the endpoints cannot cross.  Rows are predicted in
+    blocks, so the scratch memory does not grow with the row count.
 
     Parameters
     ----------
@@ -164,9 +181,7 @@ def fit_knn_quantile(train, config: KnnQuantileConfig) -> IntervalPredictor:
     def predict(x: np.ndarray):
         pts = np.asarray(x, dtype=float)
         single = pts.ndim == 1
-        neigh = neighbours(np.atleast_2d(pts))
-        lo = neigh[:, i_lo]
-        hi = neigh[:, i_hi]
+        lo, hi = neighbours(np.atleast_2d(pts), [i_lo, i_hi]).T
         if single:
             return float(lo[0]), float(hi[0])
         return lo, hi
@@ -248,7 +263,9 @@ def tune_nominal_quantiles(
     intervals over that part (empty intervals count 0, a full-set
     calibration counts +inf).  The candidate with the smallest fold-mean
     wins.  Neighbour sets do not depend on the levels, so each fold
-    queries its held-out part once and serves every candidate from it.
+    queries its held-out part once and serves every candidate from it;
+    the held-out part keeps only the order statistics some candidate
+    reads, not all k.
 
     Parameters
     ----------
@@ -286,18 +303,21 @@ def tune_nominal_quantiles(
     for lo_level, hi_level in candidates:
         cfg = KnnQuantileConfig(k=k, lo_level=lo_level, hi_level=hi_level)
         orders.append((_order_index(cfg.lo_level, k), _order_index(cfg.hi_level, k)))
+    # Held-out folds keep the union of those columns; pairs index into it.
+    columns = sorted({i for pair in orders for i in pair})
+    places = [(columns.index(i_lo), columns.index(i_hi)) for i_lo, i_hi in orders]
     # The selected rank depends only on the fold size, of which there are two at most.
     ranks = {size: plan(size, target).order_index for size in {p.size for p in parts}}
     held_out = []
     for held in parts:
         fit_x, fit_y = np.delete(features, held, axis=0), np.delete(labels, held)
-        neigh = _neighbour_labels(fit_x, fit_y, k)(features[held])
+        neigh = _neighbour_labels(fit_x, fit_y, k)(features[held], columns)
         held_out.append((neigh, labels[held]))
     means = []
-    for i_lo, i_hi in orders:
+    for j_lo, j_hi in places:
         fold_lengths = []
         for neigh, y in held_out:
-            lo, hi = neigh[:, i_lo], neigh[:, i_hi]
+            lo, hi = neigh[:, j_lo], neigh[:, j_hi]
             scores = NonconformityScores(_cqr_scores(lo, hi, y))
             lengths = _cqr_lengths(hi - lo, scores.order_stat(ranks[y.size]))
             fold_lengths.append(float(np.mean(lengths)))

@@ -129,7 +129,12 @@ class Losses:
         return cls(lambdas, totals, mat.shape[0], bound)
 
     def total(self, lam):
-        """Sum of the losses at threshold lam, a float; an array for an array."""
+        """Sum of the losses at threshold lam, a float; an array for an array.
+
+        A NaN threshold, alone or inside an array, raises ValueError.
+        """
+        if np.isnan(np.asarray(lam, dtype=float)).any():
+            raise ValueError("threshold must not be NaN")
         t = self.totals[np.searchsorted(self.lambdas, lam, side="right")]
         return float(t) if np.ndim(t) == 0 else t
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conformal_kit import calibration, cli
+from conformal_kit import calibration, cli, predictors
 from conformal_kit.experiments import gen_synthetic
 from conformal_kit.verify import SuiteResult
 
@@ -308,6 +308,45 @@ def test_experiment_artifacts(tmp_path, capsys):
     ecdf = (out_dir / "ecdf.csv").read_text().splitlines()
     assert ecdf[0] == "coverage,empirical_cdf,betabin_cdf,beta_cdf"
     assert len(ecdf) == 200 + 2
+
+
+def test_artifact_cells_are_the_summarys_values(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = cli.summarize
+
+    def kept(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "summarize", kept)
+    code, _, _ = run(capsys, *EXP_ARGS, "--out", str(tmp_path))
+    assert code == 0
+    (summary,) = seen
+    h, t = summary.histogram, summary.theoretical
+
+    def cells(name):
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        return [row.split(",") for row in rows]
+
+    assert cells("histogram.csv") == [
+        [repr(float(lo)), repr(float(hi)), repr(int(c))]
+        for lo, hi, c in zip(h.edges[:-1], h.edges[1:], h.counts)
+    ]
+    columns = (t.coverage, summary.ecdf, t.betabin_cdf, t.beta_cdf)
+    assert cells("ecdf.csv") == [[repr(float(v)) for v in row] for row in zip(*columns)]
+
+
+def test_experiment_blocks_change_nothing(tmp_path, capsys, monkeypatch):
+    # the default pool (6000 rows at least) spans several k = 50 blocks
+    assert predictors._QUERY_CELLS // 50 < 6000
+    code, blocked, _ = run(capsys, "experiment", "--out", str(tmp_path / "blocked"))
+    assert code == 0
+    monkeypatch.setattr(predictors, "_QUERY_CELLS", 2**62)
+    code, whole, _ = run(capsys, "experiment", "--out", str(tmp_path / "whole"))
+    assert code == 0 and whole == blocked
+    for name in ("summary.json", "trials.csv", "histogram.csv", "ecdf.csv"):
+        got = (tmp_path / "blocked" / name).read_bytes()
+        assert got == (tmp_path / "whole" / name).read_bytes()
 
 
 def test_experiment_marginal_target(capsys):

@@ -1,11 +1,13 @@
 """k-NN quantile intervals, conformalization scores, and level tuning."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.spatial
 
+from conformal_kit import predictors
 from conformal_kit.calibration import Marginal, Tolerance
 from conformal_kit.experiments import Dataset, gen_synthetic
 from conformal_kit.predictors import (
@@ -95,6 +97,47 @@ def test_knn_endpoints_never_cross():
         )
         lo, hi = pred.predict(rng.normal(size=(50, 3)))
         assert np.all(lo <= hi)
+
+
+def _one_shot_ends(train, rows, k, i_lo, i_hi):
+    """Every row's k nearest labels from one query and one full sort."""
+    _, idx = scipy.spatial.cKDTree(train.features).query(rows, k=k)
+    neigh = np.sort(train.labels[np.reshape(idx, (rows.shape[0], k))], axis=1)
+    return neigh[:, i_lo], neigh[:, i_hi]
+
+
+@pytest.mark.parametrize("k, levels", [(1, (0.4, 0.6)), (50, (0.1, 0.9))])
+def test_blocked_predict_matches_one_shot_query(k, levels):
+    # integer grid features and labels: distances and labels tie heavily
+    rng = np.random.default_rng(109)
+    train = Dataset(
+        rng.integers(0, 6, size=(400, 2)).astype(float),
+        rng.integers(0, 5, size=400).astype(float),
+    )
+    pred = fit_knn_quantile(train, KnnQuantileConfig(k, *levels))
+    i_lo, i_hi = (math.ceil(level * k) - 1 for level in levels)
+    step = predictors._QUERY_CELLS // k
+    for rows in (step - 1, step, step + 1, 3 * step + 7):
+        x = rng.integers(-1, 7, size=(rows, 2)).astype(float)
+        lo, hi = pred.predict(x)
+        ref_lo, ref_hi = _one_shot_ends(train, x, k, i_lo, i_hi)
+        assert float_bits(lo) == float_bits(ref_lo)
+        assert float_bits(hi) == float_bits(ref_hi)
+
+
+def test_predict_memory_does_not_grow_with_rows():
+    rng = np.random.default_rng(113)
+    train = Dataset(rng.normal(size=(2000, 3)), rng.normal(size=2000))
+    pred = fit_knn_quantile(train, KnnQuantileConfig(k=50))
+    x = rng.normal(size=(20_000, 3))
+    tracemalloc.start()
+    try:
+        pred.predict(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (rows, k) float array alone would take 8 MB
+    assert peak < 4 * 2**20
 
 
 def test_prediction_interval():

@@ -26,6 +26,14 @@ def test_zero_one_curve_shape():
     assert tied.total(-math.inf) == 4.0 and tied.total(math.inf) == 0.0
 
 
+def test_total_rejects_a_nan_threshold():
+    losses = Losses.zero_one([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="NaN"):
+        losses.total(math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        losses.total(np.array([1.5, math.nan, 2.5]))
+
+
 def test_losses_validation():
     with pytest.raises(ValueError):
         Losses(np.array([2.0, 1.0]), np.zeros(3), 1, bound=1.0)
