@@ -205,12 +205,13 @@ def cmd_experiment(args) -> int:
     target = Marginal(args.alpha) if args.alpha is not None else Tolerance(eps, delta)
 
     train, pool, n, n_test, source = _experiment_data(args, seed)
+    planned = plan(n, target)
+    # a full-set plan has no law, and reference_law raises its error before
+    # any tuning or fitting
+    law = planned.law if planned.law is not None else reference_law(n, target)
     report = tune_nominal_quantiles(train, target=target, k=args.k_neighbors, seed=seed)
     config = KnnQuantileConfig(args.k_neighbors, *report.selected)
     base = fit_knn_quantile(train, config)
-    planned = plan(n, target)
-    # a full-set plan has no law, and reference_law raises its error
-    law = planned.law if planned.law is not None else reference_law(n, target)
     reports = run_trials(base, pool, n, n_test, args.trials, planned, master_seed=seed)
     summary = summarize(reports, law, eps=eps, delta=delta, n_test=n_test)
 

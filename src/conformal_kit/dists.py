@@ -21,10 +21,11 @@ call that needs it (the guess of ``binom_inf_p``, or ``beta_reg``), not
 with the module, so code that only reads order statistics or binomial
 counts never loads it.
 
-The decisions Bin(k; n, eps) <= delta over many counts, in ``binom_sup_k``
-(the inversion in k) and ltt's tests, read one chain as a table of every
-count and let ``binom_cdf`` settle the values near delta, up to the
-first count that decides (``_first_exceeding``).  The inversion in p,
+The decisions Bin(k; n, eps) <= delta over many counts are made in one
+place, ``binom_sup_k`` (the inversion in k, whose count also cuts ltt's
+grid): it reads one chain as a table of the counts from a guess below
+the answer and lets ``binom_cdf`` settle the values near delta, up to
+the first count that decides (``_first_exceeding``).  The inversion in p,
 ``binom_inf_p``, bisects the exact CDF from a bracket beside scipy's
 ``betainccinv`` guess: an end counts once the CDF there clears the level
 by 1000 times ``_cdf_err``, ``binom_cdf``'s stated worst-case relative
@@ -359,26 +360,20 @@ def _binom_table(n: int, p: float, lo: int, hi: int) -> np.ndarray:
     return _cdf_table(*_binom_chains(n, p, lo, hi), lo)
 
 
-def _first_exceeding(n: int, p: float, lo: int, hi: int, delta: float, used=None):
-    """Smallest count k from lo with Bin(k; n, p) > delta, among the counts
-    ``used`` when given, and one past the top of ``_binom_table`` when
-    there is none.
+def _first_exceeding(n: int, p: float, lo: int, delta: float):
+    """Smallest count k from lo with Bin(k; n, p) > delta, and one past the
+    top of the ``_binom_table`` from lo when there is none.
 
     The table's values decide, except those within max(``_SLACK`` times
     the table's bound times delta, 2^-1074) of delta, which ``binom_cdf``
     settles in ascending order up to the first count that exceeds; its
-    chain at k lies inside the table's for k <= hi and at most one window
+    chain at k lies inside the table's for k = lo and at most one window
     past it above, so the two agree on every other value.
     """
-    table = _binom_table(n, p, lo, hi)
-    band = max(_SLACK * _chain_err(n, p, lo, hi) * delta, 2.0**-1074)
+    table = _binom_table(n, p, lo, lo)
+    band = max(_SLACK * _chain_err(n, p, lo, lo) * delta, 2.0**-1074)
     near = np.abs(table - delta) <= band
     clear = (table > delta) & ~near
-    if used is not None:
-        kept = np.zeros(table.size, dtype=bool)
-        kept[np.asarray(used, dtype=np.int64) - lo] = True
-        near &= kept
-        clear &= kept
     stop = int(np.argmax(clear)) if clear.any() else table.size
     for i in np.flatnonzero(near[:stop]).tolist():
         if binom_cdf(lo + i, n, p) > delta:
@@ -415,7 +410,7 @@ def binom_sup_k(n, eps: float, delta: float) -> int:
     skew = (z * z - 1.0) * (1.0 - 2.0 * eps) / 6.0
     lo = min(n, max(0, math.floor(n * eps + z * sigma + skew) - 2))
     for restart in range(_MAX_RESTARTS + 1):
-        first = _first_exceeding(n, eps, lo, lo, delta)
+        first = _first_exceeding(n, eps, lo, delta)
         if lo == 0 or first > lo:
             return first - 1
         lo = max(0, lo - (_WINDOW_PAD << restart))

@@ -17,11 +17,12 @@ route takes the losses and its levels and returns ``lambda_hat``, +inf
 when no threshold qualifies.  Infima over lambda are taken over the
 breakpoints, and the threshold conditions are compared in exact
 rational arithmetic.  The exact binomial routes read the binomial a few
-times per calibration: learn-then-test takes its p-values from one table,
-so it is O(n), and upper-confidence-bound calibration checks its bound at
-two counts.  Each route then cuts the candidates' loss sums once.  The
-equivalence with the rank-based calibrators is a theorem, and these
-routes are kept independent enough that the test suite can check it.
+times per calibration: learn-then-test cuts its grid's counts at the one
+count ``binom_sup_k`` gives, and upper-confidence-bound calibration
+checks its bound at that count and the next.  Each route then cuts the
+candidates' loss sums once.  The equivalence with the rank-based
+calibrators is a theorem, and these routes are kept independent enough
+that the test suite can check it.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._rational import as_fraction, on_grid
-from .dists import _check_prob, _check_trials, _first_exceeding
-from .dists import binom_inf_p, binom_sup_k
+from .dists import _check_prob, _check_trials, binom_inf_p, binom_sup_k
 
 __all__ = ["Losses", "crc_lambda", "ucb_lambda", "ltt_lambda"]
 
@@ -290,11 +290,11 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
     p-value above delta.  Returns the smallest threshold it rejects, one
     past the last grid point whose p-value exceeds delta, or +inf when
     that is the top one.  The grid's loss sums come from
-    ``Losses.total``, and the counts they hold fall as lambda rises, so
-    the walk stops at the smallest count on the grid whose p-value exceeds
-    delta; one read of Bin(.; n, eps) over the counts finds it,
-    ``dists._first_exceeding``, the read ``binom_sup_k`` decides through,
-    so the route is O(n) plus the grid.
+    ``Losses.total``; the counts they hold fall as lambda rises and the
+    p-values rise with the count, so the walk keeps exactly the points
+    whose count is at most k* = sup{k : Bin(k; n, eps) <= delta}.  The
+    route cuts the counts at the k* of ``binom_sup_k``, so it costs the
+    grid's totals plus one inversion.
 
     Parameters
     ----------
@@ -320,7 +320,6 @@ def ltt_lambda(losses: Losses, eps: float, delta: float, grid=None) -> float:
         raise ValueError("grid must be 1-d and strictly ascending")
     n = losses.n
     counts = _zero_one_counts(losses.total(lam), n)
-    stop = _first_exceeding(n, eps, 0, int(counts.max(initial=0)), delta, counts)
-    # the walk keeps the points after the last whose count reaches the stop
-    first = np.count_nonzero(counts >= stop)
+    # the walk keeps the points after the last whose count exceeds k*
+    first = np.count_nonzero(counts > binom_sup_k(n, eps, delta))
     return float(lam[first]) if first < lam.size else math.inf

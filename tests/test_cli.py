@@ -377,6 +377,19 @@ def test_experiment_full_set_is_a_domain_error(capsys):
     assert code == 2 and out == "" and "full-set" in err
 
 
+@pytest.mark.parametrize(
+    "levels", [("--alpha", "0.0005"), ("--eps", "0.001", "--delta", "0.01")],
+    ids=["marginal", "tolerance"],
+)
+def test_experiment_rejects_a_full_set_plan_before_tuning(capsys, monkeypatch, levels):
+    def tune(*args, **kwargs):
+        raise AssertionError("tuned before the plan was checked")
+
+    monkeypatch.setattr(cli, "tune_nominal_quantiles", tune)
+    code, out, err = run(capsys, *EXP_ARGS, *levels)
+    assert code == 2 and out == "" and "full-set" in err
+
+
 def test_experiment_csv_data(tmp_path, capsys):
     data = tmp_path / "data.csv"
     save_csv(gen_synthetic(200, seed=47), data, label_column="label")

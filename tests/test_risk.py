@@ -359,12 +359,33 @@ def _counted(monkeypatch, module, name):
 
 
 def test_ltt_reads_one_table(monkeypatch):
-    # one binom_cdf per distinct count would be 10^5 calls here; the table
-    # leaves only values within the margin of delta to binom_cdf
+    # one binom_cdf per distinct count would be 10^5 calls here; ltt reads
+    # the count binom_sup_k gives, whose table leaves only values within
+    # the margin of delta to binom_cdf
     calls = _counted(monkeypatch, dists, "binom_cdf")
     scores = np.random.default_rng(1501).standard_normal(10**5)
     lam = ltt_lambda(Losses.zero_one(scores), 0.1, 0.1)
     assert math.isfinite(lam) and len(calls) <= 3
+
+
+def test_ltt_builds_a_chain_of_order_sigma(monkeypatch):
+    # a table of every count on the grid would be 10^5 + 1 terms long;
+    # binom_sup_k's read spans about 25 sigma plus two pads
+    lengths = []
+    real = dists._chain_ends
+
+    def ends(*args):
+        anchor, lo_end, hi_end = real(*args)
+        lengths.append(hi_end - lo_end + 1)
+        return anchor, lo_end, hi_end
+
+    monkeypatch.setattr(dists, "_chain_ends", ends)
+    n, eps = 10**5, 0.1
+    scores = np.random.default_rng(1501).standard_normal(n)
+    lam = ltt_lambda(Losses.zero_one(scores), eps, 0.1)
+    sigma = math.sqrt(n * eps * (1 - eps))
+    assert math.isfinite(lam) and lengths
+    assert max(lengths) <= 30 * sigma + 2 * dists._WINDOW_PAD
 
 
 def test_ltt_settles_only_up_to_the_walks_stop(monkeypatch):

@@ -6,12 +6,14 @@ j/(n + 1) or one ulp to either side of it.  Thresholds must be the same
 float, sign bit included: a zero threshold is 0.0 on every route even
 when both 0.0 and -0.0 are among the scores.  Learn-then-test has no rank
 rule; it must match its oracle ``ltt_walk``, with delta also drawn on a
-p-value or one ulp to either side of it, on a value of the p-value table
-it reads, or subnormal.  Exact-binomial upper-confidence-bound
-calibration must also match its own oracle ``ucb_scan``, with its count
-guess as given or 10 sigma off either way, and conformal risk
-control on fractional losses its oracle ``crc_scan``, with a sum at the
-double nearest its rational threshold or one ulp to either side of it.
+p-value or one ulp to either side of it, on a value of the table
+``dists._binom_table`` gives, subnormal, or at 1 - j 2^-53 for j in 1,
+2, 3, 64 and 4096, where the upper tail's p-values lie closest together.
+Exact-binomial upper-confidence-bound calibration must also match its
+own oracle ``ucb_scan``, with its count guess as given or 10 sigma off
+either way, and conformal risk control on fractional losses its oracle
+``crc_scan``, with a sum at the double nearest its rational threshold or
+one ulp to either side of it.
 """
 
 import math
@@ -115,6 +117,7 @@ def test_ltt_is_the_walk(data):
                 [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
             ).filter(lambda d: 0.0 < d < 1.0),
             st.floats(0.01, 0.99),
+            st.sampled_from([1 - j * 2.0**-53 for j in (1, 2, 3, 64, 4096)]),
         )
     )
     losses = Losses.zero_one(vals)
