@@ -28,14 +28,16 @@ the answer and lets ``binom_cdf`` settle the values near delta, up to
 the first count that decides (``_first_exceeding``).  The inversion in p,
 ``binom_inf_p``, bisects the exact CDF from a bracket beside scipy's
 ``betainccinv`` guess: an end counts once the CDF there clears the level
-by 1000 times ``_cdf_err``, ``binom_cdf``'s stated worst-case relative
-error (about 1.1e-14 at n = 10^6), and the ends tried first sit where
-the CDF's normal approximation puts two such slacks of change, nearer
-the larger n is.  Every probe beyond a
-certified end takes its outcome without the CDF, so the probe sequence
-and the result are the plain bisection's, bit for bit; an end that fails
-to certify, or a guess that is not finite, leaves that side to the plain
-bisection.
+by ``_SLACK`` = 4 times ``_cdf_err``, ``binom_cdf``'s stated worst-case
+relative error (about 1.1e-14 at n = 10^6).  Four is the smallest whole
+factor for which that bound proves both uses sound (the derivation is at
+``_SLACK``).  The ends tried first sit where the CDF's normal
+approximation puts two slacks of change, often within an ulp of the
+guess, and wider steps from 3e-16 on follow (scipy's guess is mostly
+within 2 ulp).  Every probe beyond a certified end takes its outcome without
+the CDF, so the probe sequence and the result are the plain bisection's,
+bit for bit; an end that fails to certify, or a guess that is not
+finite, leaves that side to the plain bisection.
 
 Integer inversions follow the lower quantile convention throughout: the
 largest k whose CDF does not exceed the level, -1 when there is none.
@@ -71,17 +73,39 @@ _WINDOW_PAD = 64
 # running out raises instead of returning early.
 _BISECT_MAX_ITER = 1100
 
-# A bracket end is certified when its exact CDF clears the level by this
-# many times binom_cdf's error bound there (``_cdf_err``); a probe beyond a
-# certified end then has the outcome its own evaluation would give.  The
-# factor also covers the bound's growth from an end to the probes beyond
-# it, whose chains are longer only where the CDF has moved far more.
-_SLACK = 1000.0
+# A value is decided from a certified one by the slack S: with e(p) the
+# stated relative error of binom_cdf (``_cdf_err``), c a computed and F the
+# exact CDF, c(x) > delta (1 + S e(x)) gives F(x) > delta (1 + S e(x)) /
+# (1 + e(x)), and any m with F(m) >= F(x) then computes c(m) >= F(m)
+# (1 - e(m)) > delta when
+#     e(m) (1 + S e(x)) <= (S - 1) e(x);                               (*)
+# below delta (1 - S e(x)) the same holds with 1 - S e(x).  The bound is
+# c0 + c1 L with c0 > 0 and L the chain's length (``_length_err``), so (*)
+# holds at S = 4 whenever L(m) <= 2.9 L(x) and e(x) < 1/120, as it is for
+# any chain that fits in memory.  Its two uses:
+# - ``_first_exceeding``: binom_cdf's chain at a count of the table lies in
+#   the table's chain, or runs at most one window past its top; the table
+#   holds that window and the anchor below its top, so L(m) <= 2 L(x) - 1
+#   and (*) needs S - 1 >= 2 (1 + S e(x)), i.e. S > 3.
+# - ``binom_inf_p``: a probe m beyond a certified end x has F(m) on x's
+#   side of delta (the CDF falls in p), and (*) covers it while its chain
+#   is at most 2.9 times x's.  A longer chain reaches 1.9 L(x), at least
+#   3.8 windows (45 sigma + 243 counts), past x's, so k lies that much
+#   deeper in a tail of one of the two laws than of the other; a tail that
+#   deep holds less than e^-360 of the mass (Bernstein), and the CDF has
+#   moved by far more than any bound.  Only below the root can it not:
+#   there F(m) may be within e^-360 of 1 already, so c(m) > delta needs
+#   delta < 1 - 2 e' for an e' >= e(m) (``_err_below``), which a lower
+#   end also checks.
+_SLACK = 4.0
 # Integers below this are exact in long double; its machine epsilon is the
 # u of ``_chain_err``.
 _EXACT_COUNTS = 2 ** (np.finfo(np.longdouble).nmant + 1)
 _LD_EPS = float(np.finfo(np.longdouble).eps)
-_GUESS_STEPS = (1e-9, 1e-6, 1e-3)
+# binom_inf_p's relative bracket steps beyond its slope-sized first one:
+# scipy's guess is mostly within 2 ulp (about 3e-16) of the root, and far
+# off only at small k or a level near 1, where the last steps serve
+_GUESS_STEPS = (3e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.03, 0.5)
 # binom_sup_k's restarts, each step twice the last: count 0 from any below 2^64
 _MAX_RESTARTS = 64
 _STD_NORMAL = NormalDist()
@@ -314,9 +338,29 @@ def _chain_err(n: int, p: float, lo: int, hi: int) -> float:
     bound covers their values too.
     """
     _, lo_end, hi_end = _chain_ends(n, p, lo, hi)
+    return _length_err(n, hi_end - lo_end + 1)
+
+
+def _length_err(n: int, length: int) -> float:
+    """``_chain_err`` of a chain of Bin(n, .) with ``length`` terms."""
     r = 4 if n < _EXACT_COUNTS else 7
-    length = hi_end - lo_end + 1
     return ((2 * r + 6) * length + 2) * _LD_EPS + 2.0**-53 + 4 * math.exp(-72)
+
+
+def _err_below(k: int, n: int, x: float) -> float:
+    """A bound on ``_cdf_err(k, n, m)`` for every m in (x / 2, x].
+
+    The ``_length_err`` of the counts from min(k, mode at x / 2) to
+    max(k, mode at x), with a window past each end as wide as at
+    min(x, 1/2), the widest in that range (one count wider, for the
+    rounding of n m (1 - m)): every chain ``_chain_ends`` gives in that
+    range lies inside it.
+    """
+    h = min(x, 0.5)
+    window = int(_WINDOW_SIGMAS * math.sqrt(n * h * (1.0 - h))) + _WINDOW_PAD + 1
+    lo_end = max(0, min(k, int((n + 1) * (0.5 * x))) - window)
+    hi_end = min(n, max(k, int((n + 1) * x)) + window)
+    return _length_err(n, hi_end - lo_end + 1)
 
 
 def _cdf_err(k, n: int, p: float) -> float:
@@ -366,9 +410,11 @@ def _first_exceeding(n: int, p: float, lo: int, delta: float):
 
     The table's values decide, except those within max(``_SLACK`` times
     the table's bound times delta, 2^-1074) of delta, which ``binom_cdf``
-    settles in ascending order up to the first count that exceeds; its
-    chain at k lies inside the table's for k = lo and at most one window
-    past it above, so the two agree on every other value.
+    settles in ascending order up to the first count that exceeds.  Its
+    chain at k lies inside the table's, or runs at most one window past its
+    top, so it is at most twice as long and its bound at most twice the
+    table's; then a slack S with S - 1 >= 2 (1 + S e) makes the two agree
+    on every other value (the derivation at ``_SLACK``), and 4 does.
     """
     table = _binom_table(n, p, lo, lo)
     band = max(_SLACK * _chain_err(n, p, lo, lo) * delta, 2.0**-1074)
@@ -438,11 +484,18 @@ def binom_inf_p(k, n, delta: float) -> float:
     CDF is identically one, so only the limit qualifies).
 
     The bracket ends sit at relative steps either side of scipy's
-    ``betainccinv`` root (``bdtri`` is NaN for n >= 10^12): first at the
-    step over which ``_inf_p_slope`` puts two certification slacks of CDF
-    change, when that step is below 1e-9, then at 1e-9, 1e-6 and 1e-3,
-    tried in turn until each side certifies.  A wrong slope only costs
-    calls, since every end is certified by the exact CDF.  The probes
+    ``betainccinv`` root (``bdtri`` is NaN for n >= 10^12), tried in turn
+    until each side certifies: first at the step over which
+    ``_inf_p_slope`` puts two certification slacks of CDF change (at most
+    0.5), then at each of ``_GUESS_STEPS`` (3e-16 up to 0.5) beyond it.  A
+    guess that rounds to 1 counts as the last double below it.  An end x
+    below the guess certifies when Bin(k; n, x) > delta (1 + 4 e(x)) and
+    delta < 1 - 2 ``_err_below(k, n, x)``, and an end y above it when
+    Bin(k; n, y) <= delta (1 - 4 e(y)), for e = ``_cdf_err``.  The probes
+    a plain bisection puts below x lie in (x / 2, x], and the derivation at
+    ``_SLACK`` gives each probe beyond a certified end the end's outcome.
+    A wrong guess or slope only costs calls, since every end is certified
+    by the exact CDF.  Each probe point is evaluated once, and the probes
     read the CDF through one memo of chain counts that lives for this call
     only: the ones near the root share the chain's ends, so the counts are
     built once per inversion, not once per probe, at the cost of holding
@@ -465,26 +518,31 @@ def binom_inf_p(k, n, delta: float) -> float:
     if k >= n:
         return 1.0
     g = float(_betainccinv(k + 1, n - k, delta))
-    memo = {}
+    memo, values = {}, {}
 
     def cdf(p: float) -> float:
-        return _cdf(k, n, p, memo)
+        # a step below half an ulp puts both ends of a pair on the guess
+        if p not in values:
+            values[p] = _cdf(k, n, p, memo)
+        return values[p]
 
     # the CDF exceeds delta at lo and not at hi; a probe at or below a
     # fails, and one at or above b holds, without evaluating the CDF
     lo, hi = 0.0, 1.0
     a, b = lo, hi
-    if 0.0 < g < 1.0:
-        steps = _GUESS_STEPS
-        margin = _SLACK * _cdf_err(k, n, g)
+    if 0.0 < g <= 1.0:
+        g = min(g, 1.0 - 2.0**-53)  # a root past the last double below 1
+        margin = 2.0 * _SLACK * _cdf_err(k, n, g)
         slope = _inf_p_slope(n, delta, g)
-        if slope * _GUESS_STEPS[0] > 2.0 * margin:
-            steps = (2.0 * margin / slope, *_GUESS_STEPS)
-        for r in steps:
+        last = _GUESS_STEPS[-1]
+        first = margin / slope if margin < last * slope else last
+        for r in (first, *(r for r in _GUESS_STEPS if r > first)):
             # every step is below 1, so x lies in (0, g]; only y can reach 1
             x, y = g * (1.0 - r), g * (1.0 + r)
-            if a == lo:
-                if cdf(x) > delta * (1.0 + _SLACK * _cdf_err(k, n, x)):
+            if a == lo and delta < 1.0 - 2.0 * _err_below(k, n, x):
+                need = delta * (1.0 + _SLACK * _cdf_err(k, n, x))
+                # a CDF value is a part of a sum over the whole: never above 1
+                if need < 1.0 and cdf(x) > need:
                     a = x
             if b == hi and y < hi:
                 if cdf(y) <= delta * (1.0 - _SLACK * _cdf_err(k, n, y)):
